@@ -3,9 +3,10 @@ equilibria, enumerate systems, and check hull extremality.
 
 Exit codes: 0 success/proven, 1 verification mismatch or exhausted proof,
 2 usage or input error.  Every report is accompanied by a run manifest
-(command, arguments, seed, dataset checksums, artifact version): `verify`
-prints it as its final stdout line, `prove --out FILE` writes it next to the
-report as FILE.manifest.json so the report body itself stays byte-stable.
+(command, arguments, seed, dataset checksums, artifact version, and for
+`prove` the wall-clock seconds): `verify` prints it as its final stdout line,
+`prove --out FILE` writes it next to the report as FILE.manifest.json so the
+report body itself stays byte-stable.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ EXIT_USAGE = 2
 
 
 def _manifest(command: str, arguments: dict, seed: Optional[int] = None,
-              checksums: Optional[dict] = None) -> str:
+              checksums: Optional[dict] = None,
+              wall_clock_seconds: Optional[float] = None) -> str:
     doc = {
         "command": command,
         "arguments": arguments,
@@ -55,6 +57,8 @@ def _manifest(command: str, arguments: dict, seed: Optional[int] = None,
         "dataset_checksums": checksums or {},
         "artifact_version": __version__,
     }
+    if wall_clock_seconds is not None:
+        doc["wall_clock_seconds"] = wall_clock_seconds
     return json.dumps(doc, sort_keys=True)
 
 
@@ -116,6 +120,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_prove(ns: argparse.Namespace) -> int:
     if ns.vertices < 4:
         return _fail_usage("--vertices must be at least 4")
+    if ns.jobs < 1:
+        return _fail_usage("--jobs must be at least 1")
     try:
         cfg = SearchConfig(
             coeff_min=ns.coeff_min,
@@ -138,6 +144,7 @@ def cmd_prove(ns: argparse.Namespace) -> int:
             "out": ns.out,
         },
         seed=ns.seed,
+        wall_clock_seconds=report.wall_clock_seconds,
     )
     if ns.out:
         out = Path(ns.out)

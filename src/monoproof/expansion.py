@@ -8,20 +8,21 @@ balance equations sum_i r_i = 0, each inequality becomes
 
     Q_i(x) = sum_k r_ik^2 - sum_k r_ik r_j(i)k <= 0
 
-over the n = 3V-7 free coordinates x.  Q_i is assembled here as an exact
-quadratic form f(x) = x^T A x + b.x + c0 (Hessian 2A, constant in x).
+over the n = 3V-7 free coordinates x.  Q_i is built here once per
+(V, i, j(i)) as the integer (n+1) x (n+1) matrix P = [[2A, b], [b^T, 2c0]]
+of the quadratic form f(x) = x^T A x + b.x + c0 homogenized at z = (x, 1),
+so that z^T P z = 2 f(x).  QuadraticForm is the exact-rational view of P.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from monoproof.ratcore import RatMatrix, RatVector, eval_quadratic
-
-LinForm = tuple[Fraction, dict[int, Fraction]]  # constant + sparse coefficients
 
 
 class NonPositiveCoefficient(ValueError):
@@ -129,52 +130,67 @@ class QuadraticForm:
         return eval_quadratic(self.A, self.b, self.c0, x)
 
 
-def _coordinate_forms(V: int) -> dict[tuple[int, int], LinForm]:
-    """Every coordinate r_ik as a linear form over the free variables:
-    the fixed frame, the free variables themselves, and the eliminated
-    last vertex r_Vk = -sum of the column."""
-    forms: dict[tuple[int, int], LinForm] = {
-        (1, 1): (Fraction(1), {}),
-        (1, 2): (Fraction(0), {}),
-        (1, 3): (Fraction(0), {}),
-        (2, 3): (Fraction(0), {}),
-    }
-    for i in range(2, V):
+def _coordinate_vectors(V: int) -> dict[tuple[int, int], list[int]]:
+    """Every coordinate r_ik as an integer vector u over z = (x, 1), so that
+    r_ik = u.z: the fixed frame, the free variables themselves, and the
+    eliminated last vertex r_Vk = -(r_1k + ... + r_(V-1)k)."""
+    n = free_var_count(V)
+    vectors: dict[tuple[int, int], list[int]] = {}
+    for i in range(1, V):
         for k in (1, 2, 3):
-            if (i, k) not in forms:
-                forms[(i, k)] = (Fraction(0), {var_index(i, k, V): Fraction(1)})
+            u = [0] * (n + 1)
+            if (i, k) == (1, 1):
+                u[n] = 1
+            elif i > 1 and (i, k) != (2, 3):
+                u[var_index(i, k, V)] = 1
+            vectors[(i, k)] = u
     for k in (1, 2, 3):
-        const = Fraction(0)
-        coeffs: dict[int, Fraction] = {}
-        for i in range(1, V):
-            c, xs = forms[(i, k)]
-            const -= c
-            for idx, coef in xs.items():
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) - coef
-        forms[(V, k)] = (const, {idx: c for idx, c in coeffs.items() if c != 0})
-    return forms
+        vectors[(V, k)] = [-sum(col) for col in zip(*(vectors[(i, k)] for i in range(1, V)))]
+    return vectors
 
 
-def _add_product(
-    A: list[list[Fraction]], b: list[Fraction], u: LinForm, v: LinForm, sign: int
-) -> Fraction:
-    """Accumulate sign * (u(x) * v(x)) into the A/b buckets; returns the
-    constant-term contribution."""
-    cu, xu = u
-    cv, xv = v
-    for idx, coef in xu.items():
-        b[idx] += sign * cv * coef
-    for idx, coef in xv.items():
-        b[idx] += sign * cu * coef
-    for iu, coef_u in xu.items():
-        for iv, coef_v in xv.items():
-            contrib = sign * coef_u * coef_v
-            if iu == iv:
-                A[iu][iu] += contrib
-            else:
-                A[iu][iv] += contrib / 2
-                A[iv][iu] += contrib / 2
-    return sign * cu * cv
+@functools.lru_cache(maxsize=None)
+def _homogenized_form(V: int, i: int, j: int) -> dict[tuple[int, int], int]:
+    """Q_i = |r_i|^2 - r_i.r_j as the integer matrix P = [[2A, b], [b^T, 2c0]],
+    for which z^T P z = 2 Q_i(x) at z = (x, 1).
+
+    Returns the nonzero entries of P's upper triangle as {(row, col): value}.
+    Q_i depends only on (V, i, j), so each form is built on first use and
+    memoized; callers must not mutate the result.
+    """
+    vectors = _coordinate_vectors(V)
+    size = free_var_count(V) + 1
+    P = [[0] * size for _ in range(size)]
+    for k in (1, 2, 3):
+        # (u.z)^2 - (u.z)(w.z) = z^T (2 u u^T - u w^T - w u^T) z / 2
+        u, w = vectors[(i, k)], vectors[(j, k)]
+        for a in range(size):
+            if u[a] or w[a]:
+                row = P[a]
+                for b in range(a, size):
+                    row[b] += 2 * u[a] * u[b] - u[a] * w[b] - w[a] * u[b]
+    return {(a, b): P[a][b] for a in range(size) for b in range(a, size) if P[a][b]}
+
+
+def _assemble(system: ShadowSystem, weights) -> list[list[int]]:
+    """sum c * P_i over (i, c) in ``weights``, as packed upper-triangle rows:
+    row r holds the entries (r, r), (r, r+1), ..., (r, n)."""
+    V = system.V
+    size = free_var_count(V) + 1
+    m = [[0] * (size - r) for r in range(size)]
+    for i, c in weights:
+        for (a, b), value in _homogenized_form(V, i, system.j[i - 2]).items():
+            m[a][b - a] += c * value
+    return m
+
+
+def _quadratic_form(m: list[list[int]]) -> QuadraticForm:
+    """The QuadraticForm view of homogenized packed rows of [[2A, b], [b^T, 2c0]]."""
+    n = len(m) - 1
+    A = [[Fraction(m[min(r, c)][abs(c - r)], 2) for c in range(n)] for r in range(n)]
+    return QuadraticForm(
+        RatMatrix(A, symmetric=True), RatVector(m[r][n - r] for r in range(n)), Fraction(m[n][0], 2)
+    )
 
 
 def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:
@@ -182,17 +198,7 @@ def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:
     expanded over the free coordinates; the inequality is Q_i(x) <= 0."""
     if not 2 <= i <= system.V:
         raise ValueError(f"vertex index {i} out of range 2..{system.V}")
-    V = system.V
-    n = free_var_count(V)
-    forms = _coordinate_forms(V)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    c0 = Fraction(0)
-    j = system.j_of(i)
-    for k in (1, 2, 3):
-        c0 += _add_product(A, b, forms[(i, k)], forms[(i, k)], +1)
-        c0 += _add_product(A, b, forms[(i, k)], forms[(j, k)], -1)
-    return QuadraticForm(RatMatrix(A, symmetric=True), RatVector(b), c0)
+    return _quadratic_form(_assemble(system, [(i, 1)]))
 
 
 def inequality_forms(system: ShadowSystem) -> list[QuadraticForm]:
@@ -210,24 +216,16 @@ def _check_coefficients(system: ShadowSystem, coeffs: Sequence[int]) -> None:
             raise NonPositiveCoefficient(f"coefficient {c} is not positive")
 
 
-def combine_forms(forms: Sequence[QuadraticForm], coeffs: Sequence[int]) -> QuadraticForm:
-    """Entrywise weighted sum of quadratic forms."""
-    n = forms[0].n
-    A = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    c0 = Fraction(0)
-    for form, c in zip(forms, coeffs):
-        for r in range(n):
-            row = form.A[r]
-            Ar = A[r]
-            for col in range(n):
-                if row[col]:
-                    Ar[col] += c * row[col]
-        for idx, val in enumerate(form.b):
-            if val:
-                b[idx] += c * val
-        c0 += c * form.c0
-    return QuadraticForm(RatMatrix(A, symmetric=True), RatVector(b), c0)
+def weighted_matrix(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[int]]:
+    """M(c) = sum_i c_i P_i, the homogenized integer matrix of 2 sum_i c_i Q_i,
+    as packed upper-triangle rows (row r holds columns r..n), the layout
+    ratcore.symmetric_bareiss eliminates.
+
+    Its leading n x n block is the Hessian of the weighted sum, its last
+    column the linear part and its corner twice the constant.
+    """
+    _check_coefficients(system, coeffs)
+    return _assemble(system, zip(range(2, system.V + 1), coeffs))
 
 
 def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> QuadraticForm:
@@ -237,8 +235,18 @@ def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> Quad
     strictly positive minimum, the shadowing system has no solution: any
     solution would make every Q_i <= 0 and hence the sum nonpositive.
     """
-    _check_coefficients(system, coeffs)
-    return combine_forms(inequality_forms(system), coeffs)
+    return _quadratic_form(weighted_matrix(system, coeffs))
+
+
+def scaled_vertices(V: int, x: Sequence, scale) -> list[list]:
+    """scale * r_1 .. scale * r_V from x = scale * (free coordinates), read
+    straight from the variable layout: r_1 = (1, 0, 0), r_2 = (x_0, x_1, 0),
+    r_i = (x_(3i-7), x_(3i-6), x_(3i-5)) for 2 < i < V, and the balance
+    r_V = -(r_1 + ... + r_(V-1)).  Shares no code with the forms above."""
+    rows = [[scale, 0, 0], [x[0], x[1], 0]]
+    rows += [list(x[3 * i - 7 : 3 * i - 4]) for i in range(3, V)]
+    rows.append([-sum(r[k] for r in rows) for k in range(3)])
+    return rows
 
 
 def reconstruct_vertices(V: int, x: RatVector) -> list[RatVector]:
@@ -246,12 +254,4 @@ def reconstruct_vertices(V: int, x: RatVector) -> list[RatVector]:
     the fixed frame, the variables, and the balance-eliminated last vertex."""
     if len(x) != free_var_count(V):
         raise ValueError(f"expected {free_var_count(V)} coordinates, got {len(x)}")
-    forms = _coordinate_forms(V)
-    out = []
-    for i in range(1, V + 1):
-        coords = []
-        for k in (1, 2, 3):
-            const, coeffs = forms[(i, k)]
-            coords.append(const + sum((c * x[idx] for idx, c in coeffs.items()), Fraction(0)))
-        out.append(RatVector(coords))
-    return out
+    return [RatVector(r) for r in scaled_vertices(V, x.entries, Fraction(1))]

@@ -1,20 +1,33 @@
 """Search for and verify infeasibility certificates of shadowing systems.
 
 A certificate for a system is a tuple of positive integer coefficients
-c_2..c_V whose weighted inequality sum is strictly convex (positive definite
-Hessian) with a strictly positive exact minimum; any solution of the system
-would make that sum nonpositive, so a certificate proves unsolvability.
+c_2..c_V whose weighted inequality sum f = sum_i c_i Q_i is strictly convex
+(positive definite Hessian) with a strictly positive exact minimum; any
+solution of the system would make f nonpositive, so a certificate proves
+unsolvability.
+
+Every check runs on the homogenized integer matrix M(c) = sum_i c_i P_i of
+2f (see expansion).  By Sylvester's criterion and the Schur complement, c is
+a certificate exactly when all n+1 leading minors d_1..d_(n+1) of M(c) are
+positive, and the minimum of f is d_(n+1) / (2 d_n).  One pass of
+ratcore.symmetric_bareiss yields those minors.  A trial that fails at a
+minor k <= n has a Hessian that is not positive definite; one that fails
+only at d_(n+1) has a nonpositive minimum.  The minimizer is computed only
+for accepted weights, by fraction-free back substitution; Fractions appear
+only in the returned values.  verify_certificate then audits the result on
+the geometry itself: it rebuilds the scaled vertices from the minimizer and
+checks the value and the zero gradient of f there in integers.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister);
 each system gets its own stream seeded with (base_seed + system_id) mod 2**64,
 so reports are reproducible for a fixed seed and independent of worker count.
-Trial arithmetic runs fraction-free over the integers (the Hessians here are
-integer matrices), which keeps every intermediate value exact.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,16 +38,16 @@ from typing import Optional, Sequence, Union
 from monoproof.ratcore import (
     RatMatrix,
     RatVector,
-    _back_substitute,
-    is_positive_definite,
-    solve_linear,
+    homogeneous_solution,
+    symmetric_bareiss,
 )
 from monoproof.expansion import (
     QuadraticForm,
     ShadowSystem,
     enumerate_systems,
-    inequality_forms,
-    weighted_inequality_sum,
+    free_var_count,
+    scaled_vertices,
+    weighted_matrix,
 )
 
 _SEED_MASK = (1 << 64) - 1
@@ -52,15 +65,27 @@ def hessian_of(form: QuadraticForm) -> RatMatrix:
 def minimize_strictly_convex(form: QuadraticForm) -> tuple[RatVector, Fraction]:
     """Exact global minimizer and minimum of a strictly convex quadratic.
 
-    The stationarity condition 2A x = -b is a linear system; its unique
-    solution is the minimizer.  Raises NotConvex when the Hessian is not
-    positive definite.
+    Eliminates the homogenized matrix [[2A, b], [b^T, 2c0]], cleared of
+    denominators, in one symmetric Bareiss pass.  Raises NotConvex when the
+    Hessian 2A is not positive definite.
     """
-    hessian = hessian_of(form)
-    if not is_positive_definite(hessian):
+    n = form.n
+    rows = [[2 * e for e in form.A[r][r:]] + [form.b[r]] for r in range(n)]
+    rows.append([2 * form.c0])
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    m = [[int(e * scale) for e in row] for row in rows]
+    if symmetric_bareiss(m) < n:
         raise NotConvex("Hessian is not positive definite")
-    minimizer = solve_linear(hessian, -form.b)
-    return minimizer, form.evaluate(minimizer)
+    X, D, d_last = _stationary_point(m)
+    return RatVector(Fraction(x, D) for x in X), Fraction(d_last, 2 * scale * D)
+
+
+def _stationary_point(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """(X, d_n, d_(n+1)) from an eliminated homogenized matrix whose first n
+    leading minors are positive: the minimizer is X / d_n and the minimum
+    d_(n+1) / (2 d_n)."""
+    X, D = homogeneous_solution(m)
+    return X, D, m[-1][0]
 
 
 @dataclass(frozen=True)
@@ -114,106 +139,84 @@ class VerifyResult:
     minimizer: Optional[RatVector] = None
 
 
+def _audit(system: ShadowSystem, coeffs: Sequence[int], X: list[int], D: int, d_last: int) -> None:
+    """Check a minimizer on the geometry, apart from the cached forms.
+
+    With R_i = D r_i rebuilt from X = D x by the variable layout alone,
+    F = sum_i c_i (|r_i|^2 - r_i.r_j(i)) must equal the minimum
+    d_(n+1) / (2 d_n), that is 2 sum_i c_i (|R_i|^2 - R_i.R_j(i)) = d_n d_(n+1),
+    and its gradient over the free coordinates must vanish:
+    dF/dr_ik = dF/dr_Vk for every free (i, k), as r_V = -(r_1 + ... + r_(V-1)).
+    """
+    V = system.V
+    R = scaled_vertices(V, X, D)
+    grad = [[0, 0, 0] for _ in range(V)]
+    value = 0
+    for i, c in zip(range(2, V + 1), coeffs):
+        j = system.j[i - 2]
+        ri, rj = R[i - 1], R[j - 1]
+        value += c * sum(a * a - a * b for a, b in zip(ri, rj))
+        for k in range(3):
+            grad[i - 1][k] += c * (2 * ri[k] - rj[k])
+            grad[j - 1][k] -= c * ri[k]
+    free = [(2, 0), (2, 1)] + [(i, k) for i in range(3, V) for k in range(3)]
+    if 2 * value != D * d_last or any(grad[i - 1][k] != grad[V - 1][k] for i, k in free):
+        raise RuntimeError(
+            f"internal error: certificate for system {system.system_id} failed the "
+            "geometric audit of its minimum and minimizer"
+        )
+
+
 def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> VerifyResult:
-    """Recompute the weighted form, its PD status and exact minimum.
+    """Recompute the weighted form's PD status, exact minimum and minimizer,
+    and audit them on the geometry (raises RuntimeError if they disagree).
 
     A non-PD Hessian is reported as hessian_pd=False rather than raised.
     """
     if V != system.V:
         raise ValueError(f"vertex count {V} does not match system (V={system.V})")
-    form = weighted_inequality_sum(system, coeffs)
-    try:
-        minimizer, min_value = minimize_strictly_convex(form)
-    except NotConvex:
+    m = weighted_matrix(system, coeffs)
+    if symmetric_bareiss(m) < len(m) - 1:
         return VerifyResult(hessian_pd=False, min_value=None, positive=False)
+    X, D, d_last = _stationary_point(m)
+    _audit(system, coeffs, X, D, d_last)
     return VerifyResult(
         hessian_pd=True,
-        min_value=min_value,
-        positive=min_value > 0,
-        minimizer=minimizer,
+        min_value=Fraction(d_last, 2 * D),
+        positive=d_last > 0,
+        minimizer=RatVector(Fraction(x, D) for x in X),
     )
-
-
-def _integer_payload(system: ShadowSystem):
-    """Per-system integer data for the trial loop: Hessian 2A_i, linear and
-    constant parts of each Q_i.  All of these are integral by construction."""
-    hessians = []
-    lins = []
-    consts = []
-    for form in inequality_forms(system):
-        h_rows = []
-        for r in range(form.n):
-            doubled = [2 * e for e in form.A[r]]
-            assert all(v.denominator == 1 for v in doubled)
-            h_rows.append([int(v) for v in doubled])
-        assert all(e.denominator == 1 for e in form.b)
-        assert form.c0.denominator == 1
-        hessians.append(h_rows)
-        lins.append([int(e) for e in form.b])
-        consts.append(int(form.c0))
-    return hessians, lins, consts
-
-
-def _pd_solve(hessian: list[list[int]], neg_b: list[int]) -> Optional[list[Fraction]]:
-    """One fraction-free pass: PD check and stationary-point solve combined.
-
-    Bareiss elimination without pivoting leaves the leading principal minors
-    on the diagonal; if they are all positive the matrix is PD and the
-    elimination doubles as the forward phase of solving H x = -b.  Returns
-    None as soon as a minor fails to be positive.
-    """
-    n = len(hessian)
-    aug = [hessian[i] + [neg_b[i]] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot = aug[k][k]
-        if pivot <= 0:
-            return None
-        for i in range(k + 1, n):
-            aik = aug[i][k]
-            row_i = aug[i]
-            row_k = aug[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-        prev = pivot
-    return _back_substitute(aug)
 
 
 def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     """Randomized certificate search for one system.
 
-    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max], test the
-    Hessian for positive definiteness, minimize exactly, and accept iff the
-    minimum is strictly positive.  Returns the first Certificate found, or
-    Exhausted with per-failure-kind counters after max_trials draws.
+    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] and run
+    one symmetric Bareiss pass on M(c).  A failing minor among the first n
+    counts as non-PD, a failing last minor as a nonpositive minimum.  Returns
+    the first Certificate found, or Exhausted with per-failure-kind counters
+    after max_trials draws.
     """
-    hessians, lins, consts = _integer_payload(system)
-    n = len(lins[0])
-    m = len(lins)
+    n = free_var_count(system.V)
     rng = random.Random(cfg.base_seed)
     negative, non_pd = 0, 0
     for trial in range(1, cfg.max_trials + 1):
-        coeffs = tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(m))
-        hessian = [
-            [sum(coeffs[f] * hessians[f][r][c] for f in range(m)) for c in range(n)]
-            for r in range(n)
-        ]
-        neg_b = [-sum(coeffs[f] * lins[f][r] for f in range(m)) for r in range(n)]
-        minimizer = _pd_solve(hessian, neg_b)
-        if minimizer is None:
+        coeffs = tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(system.V - 1))
+        m = weighted_matrix(system, coeffs)
+        positive_minors = symmetric_bareiss(m)
+        if positive_minors < n:
             non_pd += 1
-            continue
-        c0 = sum(coeffs[f] * consts[f] for f in range(m))
-        min_value = c0 - sum(nb * x for nb, x in zip(neg_b, minimizer)) / 2
-        if min_value > 0:
+        elif positive_minors == n:
+            negative += 1
+        else:
+            X, D, d_last = _stationary_point(m)
             return Certificate(
                 system=system,
                 coeffs=coeffs,
-                minimizer=RatVector(minimizer),
-                min_value=min_value,
+                minimizer=RatVector(Fraction(x, D) for x in X),
+                min_value=Fraction(d_last, 2 * D),
                 trials=trial,
             )
-        negative += 1
     return Exhausted(
         system=system,
         trials=cfg.max_trials,
@@ -224,7 +227,11 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
 
 @dataclass(frozen=True)
 class ProofReport:
-    """Aggregate outcome of searching every shadowing system for one V."""
+    """Aggregate outcome of searching every shadowing system for one V.
+
+    ``wall_clock_seconds`` is telemetry for the run manifest; it stays out of
+    to_json() so that the report body is byte-stable for a fixed config.
+    """
 
     V: int
     base_seed: int
@@ -268,7 +275,6 @@ class ProofReport:
             "coeff_range": [self.coeff_min, self.coeff_max],
             "max_trials": self.max_trials,
             "systems": rows,
-            "wall_clock_seconds": self.wall_clock_seconds,
         }
 
 
@@ -283,21 +289,27 @@ def prove_unsolvable(
     """Search all (V-1)! systems; every one certified proves that no
     mono-unstable 0-skeleton with V vertices exists.
 
-    Each found certificate is re-verified through the independent
-    full-precision path before it enters the report.  Deterministic for a
-    fixed config: per-system seeds do not depend on scheduling or jobs.
+    Each found certificate is re-verified, with its geometric audit, before
+    it enters the report.  Deterministic for a fixed config: per-system seeds
+    do not depend on scheduling or jobs.  ``jobs`` >= 1 asks for that many
+    worker processes, capped at the CPU count and the number of systems;
+    with a cap of 1 the search runs in this process.
     """
     if V < 4:
         raise ValueError("proof runs start at V = 4")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     cfg = cfg if cfg is not None else SearchConfig()
     started = time.perf_counter()
     tasks = [
         (system, replace(cfg, base_seed=(cfg.base_seed + system.system_id) & _SEED_MASK))
         for system in enumerate_systems(V)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_search_task, tasks, chunksize=max(1, len(tasks) // (8 * jobs))))
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(tasks) // (8 * workers))
+            results = list(pool.map(_search_task, tasks, chunksize=chunksize))
     else:
         results = [_search_task(t) for t in tasks]
     for result in results:

@@ -1,9 +1,11 @@
 """Exact rational vectors, symmetric matrices, linear solving and PD testing.
 
-Every value in this package is a ``fractions.Fraction`` (arbitrary precision,
-always in lowest terms, positive denominator).  Nothing here ever rounds:
-elimination is done fraction-free over the integers after clearing
-denominators, so results are exact by construction.
+Public values are ``fractions.Fraction`` (arbitrary precision, always in
+lowest terms, positive denominator).  Nothing here ever rounds: elimination
+is done fraction-free over the integers after clearing denominators, so
+results are exact by construction.  symmetric_bareiss is the one
+elimination behind positive-definiteness tests and certificate checks; the
+pivoting _bareiss_forward serves only the general solve_linear.
 """
 
 from __future__ import annotations
@@ -232,12 +234,56 @@ def solve_linear(A: RatMatrix, b: RatVector) -> RatVector:
     return RatVector(_back_substitute(aug))
 
 
+def symmetric_bareiss(m: list[list[int]]) -> int:
+    """Fraction-free elimination of a symmetric integer matrix without
+    pivoting, on its upper triangle stored as packed rows: m[r][c - r] is
+    entry (r, c) for c >= r.  Rows are replaced in place.
+
+    Returns how many leading principal minors are positive.  Elimination
+    stops at the first one that is not: on return with count k, m[r][0] is
+    the (r+1)-th leading minor for every r <= k (r < size), so m[k][0] is
+    the failing minor, and rows r < k hold the eliminated upper triangle.
+    All divisions are exact (Bareiss, Math. Comp. 22, 1968), and symmetry
+    lets row k stand in for column k of the trailing block.
+    """
+    size = len(m)
+    prev = 1
+    for k in range(size):
+        row_k = m[k]
+        pivot = row_k[0]
+        if pivot <= 0:
+            return k
+        for i in range(k + 1, size):
+            a = row_k[i - k]
+            m[i] = [(pivot * x - a * y) // prev for x, y in zip(m[i], row_k[i - k:])]
+        prev = pivot
+    return size
+
+
+def homogeneous_solution(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free back substitution after symmetric_bareiss.
+
+    ``m`` holds the packed rows of an eliminated (n+1) x (n+1) matrix
+    [[H, b], [b^T, .]] whose first n leading minors are positive.  Returns
+    (X, D) with D = d_n = det H and X = D * x for the solution x of
+    H x = -b; X is integral by Cramer's rule, so every division is exact.
+    """
+    n = len(m) - 1
+    D = m[n - 1][0] if n else 1
+    X = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = m[r]
+        acc = D * row[n - r] + sum(row[c - r] * X[c] for c in range(r + 1, n))
+        X[r] = -acc // row[0]
+    return X, D
+
+
 def is_positive_definite(A: RatMatrix) -> bool:
     """Exact PD test: all leading principal minors positive (Sylvester).
 
-    Rejects non-symmetric input.  Uses Bareiss elimination on the
-    denominator-cleared matrix, whose diagonal holds exactly those minors;
-    scaling the whole matrix by a positive integer preserves definiteness.
+    Rejects non-symmetric input.  Runs symmetric_bareiss on the
+    denominator-cleared matrix; scaling by a positive integer preserves
+    definiteness.
     """
     if not A.is_symmetric():
         raise ValueError("positive definiteness test requires a symmetric matrix")
@@ -245,17 +291,8 @@ def is_positive_definite(A: RatMatrix) -> bool:
     if n == 0:
         return True
     scale = math.lcm(*(e.denominator for row in A.entries for e in row))
-    m = [[int(e * scale) for e in row] for row in A.entries]
-    prev = 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            # zero or negative leading minor: not PD either way
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return True
+    packed = [[int(e * scale) for e in row[r:]] for r, row in enumerate(A.entries)]
+    return symmetric_bareiss(packed) == n
 
 
 def eval_quadratic(A: RatMatrix, b: RatVector, c0: Fraction, x: RatVector) -> Fraction:

@@ -105,10 +105,12 @@ def test_prove_v4_with_report_file(tmp_path, capsys):
     assert report["V"] == 4
     assert report["verdict"] == "unsolvable"
     assert all(row["status"] == "certified" for row in report["systems"])
+    assert "wall_clock_seconds" not in report
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert manifest["command"] == "prove"
     assert manifest["seed"] == 1
     assert manifest["arguments"]["vertices"] == 4
+    assert manifest["wall_clock_seconds"] > 0
 
 
 def test_prove_stdout_mode_keeps_manifest_on_stderr(capsys):
@@ -140,10 +142,15 @@ def test_prove_jobs_do_not_change_the_report(tmp_path, capsys):
                "--out", str(a))[0] == 0
     assert run(capsys, "prove", "--vertices", "4", "--seed", "9",
                "--jobs", "2", "--out", str(b))[0] == 0
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    ra.pop("wall_clock_seconds")
-    rb.pop("wall_clock_seconds")
-    assert ra == rb
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_prove_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-2"):
+        code, _, err = run(capsys, "prove", "--vertices", "4", "--seed", "0",
+                           "--jobs", jobs)
+        assert code == 2
+        assert "--jobs" in err
 
 
 def test_prove_rejects_small_vertex_count(capsys):

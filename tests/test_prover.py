@@ -1,9 +1,13 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from monoproof import expansion, prover
 from monoproof.expansion import (
     QuadraticForm,
     ShadowSystem,
@@ -17,7 +21,6 @@ from monoproof.prover import (
     Exhausted,
     NotConvex,
     SearchConfig,
-    _pd_solve,
     hessian_of,
     minimize_strictly_convex,
     prove_unsolvable,
@@ -25,6 +28,7 @@ from monoproof.prover import (
     verify_certificate,
 )
 from monoproof.ratcore import RatMatrix, RatVector, is_positive_definite, solve_linear
+from monoproof.tables import bundled_table_path, parse_certificate_table
 
 # published certificate rows used as exact fixtures: (V, choices, coeffs, min)
 KNOWN_ROWS = [
@@ -251,28 +255,64 @@ def test_search_respects_coefficient_bounds():
     assert all(40 <= c <= 60 for c in result.coeffs)
 
 
-def test_pd_solve_agrees_with_reference_path():
-    """The fused integer PD-check/solve must agree with the separate
-    full-precision positive-definiteness test and linear solver."""
-    rng = random.Random(14)
-    for _ in range(120):
-        n = rng.randint(1, 6)
-        g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        sym = [[sum(g[k][i] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        if rng.random() < 0.5:
-            for i in range(n):
-                sym[i][i] += rng.randint(1, 3)
-        else:
-            i = rng.randrange(n)
-            sym[i][i] -= rng.randint(0, 6)
-        rhs = [rng.randint(-9, 9) for _ in range(n)]
-        fast = _pd_solve([row[:] for row in sym], rhs[:])
-        reference_pd = is_positive_definite(RatMatrix(sym, symmetric=True))
-        if fast is None:
-            assert not reference_pd
-        else:
-            assert reference_pd
-            assert RatVector(fast) == solve_linear(RatMatrix(sym), RatVector(rhs))
+def test_integer_core_agrees_with_form_path():
+    """verify_certificate (cached integer forms, one symmetric Bareiss pass,
+    fraction-free back substitution) must agree with the Fraction form path
+    minimize_strictly_convex(weighted_inequality_sum(...)) on the PD flag,
+    the minimum and the minimizer, which the pivoting solver and a direct
+    evaluation confirm.  Cases: every 10th bundled row per V, and seeded
+    random weights at V = 5..7 that include non-PD and negative draws."""
+    cases = []
+    for V in (4, 5, 6, 7):
+        rows = parse_certificate_table(bundled_table_path(V)).rows
+        cases += [(row.system, row.coeffs) for row in rows[::10]]
+    rng = random.Random(31)
+    for _ in range(200):
+        V = rng.randint(5, 7)
+        system = ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
+        coeffs = tuple(rng.choice((rng.randint(1, 101), rng.randint(1, 3000)))
+                       for _ in range(V - 1))
+        cases.append((system, coeffs))
+    outcomes = Counter()
+    for system, coeffs in cases:
+        got = verify_certificate(system.V, system, coeffs)
+        form = weighted_inequality_sum(system, coeffs)
+        assert got.hessian_pd == is_positive_definite(hessian_of(form))
+        try:
+            x, value = minimize_strictly_convex(form)
+        except NotConvex:
+            assert not got.hessian_pd
+            assert got.min_value is None and got.minimizer is None and not got.positive
+            outcomes["non_pd"] += 1
+            continue
+        assert got.hessian_pd
+        assert got.minimizer == x
+        assert got.min_value == value
+        assert got.positive == (value > 0)
+        assert solve_linear(hessian_of(form), -form.b) == x
+        assert form.evaluate(x) == value
+        outcomes["positive" if value > 0 else "negative"] += 1
+    assert min(outcomes[kind] for kind in ("non_pd", "negative", "positive")) > 0, outcomes
+
+
+@pytest.mark.parametrize("corrupt", ["constant", "hessian"])
+def test_audit_catches_a_corrupted_cached_form(corrupt):
+    """A wrong memoized form entry moves the minimum (constant entry) or the
+    minimizer (Hessian entry); the geometric audit in verify_certificate
+    must reject either."""
+    V, choices, coeffs, expected = KNOWN_ROWS[1]
+    system = ShadowSystem.from_choices(V, choices)
+    n = expansion.free_var_count(V)
+    form = expansion._homogenized_form(V, V, system.j_of(V))
+    key = (n, n) if corrupt == "constant" else next(k for k in form if k[0] != k[1] and k[1] < n)
+    try:
+        form[key] += 1
+        audit = f"system {system.system_id} failed the geometric audit"
+        with pytest.raises(RuntimeError, match=audit):
+            verify_certificate(V, system, coeffs)
+    finally:
+        expansion._homogenized_form.cache_clear()
+    assert verify_certificate(V, system, coeffs).min_value == expected
 
 
 def test_prove_unsolvable_v4():
@@ -325,8 +365,6 @@ def test_prove_parallel_matches_serial():
     cfg = SearchConfig(base_seed=3)
     serial = prove_unsolvable(5, cfg, jobs=1).to_json()
     parallel = prove_unsolvable(5, cfg, jobs=2).to_json()
-    serial.pop("wall_clock_seconds")
-    parallel.pop("wall_clock_seconds")
     assert serial == parallel
 
 
@@ -340,3 +378,61 @@ def test_per_system_seeds_are_independent_of_sibling_results():
             row.system, replace(cfg, base_seed=11 + row.system.system_id)
         )
         assert alone == row
+
+
+# sha256 of json.dumps(prove_unsolvable(V, SearchConfig(base_seed=seed)).to_json(),
+# sort_keys=True), recorded from the Fraction-based search that preceded the
+# integer core (its wall_clock_seconds key removed): the core must not change
+# a single trial or certificate.
+PINNED_REPORTS = {
+    (4, 0): "b71e1a7ecf366215d6e2978b64d65e0b1fecc6ad8af3473859ef1896f8863543",
+    (4, 1): "c915bffbefde3e3f54e99b78b90df821ffc524a30669e82982720263d85b7e12",
+    (4, 2): "aa814b2577be448fc027c50dcef1e11c04d78af27b3709031cf1abf7d7acd82d",
+    (5, 0): "08669b03f96ae557017b165d8c7b9b95fa67278369cb75ae8cfc9519c1957c4b",
+    (5, 1): "88d31235377a3f8670d18ec94f4e8a1c31bfc509a85f8e4786d3d9993862ac5e",
+    (5, 2): "a26b753d2b7eed1991ededafd5dc82997d2442bdd2405a2302262d68de410773",
+    (6, 0): "74393711d612ba087ef0476e98a32569d666984a28ac59b080daa6a5d9ee532a",
+    (6, 1): "4b6c14968224c5284875a6bc99f8d29f5eedd6231b0f7231529b8ea383aa791f",
+    (6, 2): "9932de6fcc6f0d8a80b491537dfd828da5f44b166ee2d6cbe58a9edaa3de6c3a",
+}
+
+
+@pytest.mark.parametrize("V,seed", sorted(PINNED_REPORTS))
+def test_prove_report_body_is_pinned(V, seed):
+    body = json.dumps(prove_unsolvable(V, SearchConfig(base_seed=seed)).to_json(), sort_keys=True)
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == PINNED_REPORTS[(V, seed)]
+
+
+def test_prove_rejects_nonpositive_jobs():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            prove_unsolvable(4, jobs=jobs)
+
+
+def test_prove_caps_pool_workers(monkeypatch):
+    """The pool gets min(jobs, cpu count, systems) workers, and none at a cap
+    of 1.  A stub stands in for the pool, so no process is started."""
+    created = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(prover, "ProcessPoolExecutor", InlinePool)
+    cfg = SearchConfig(base_seed=4)
+    serial = prove_unsolvable(4, cfg).to_json()
+    for cpus, jobs, workers in [(4, 1000, [4]), (64, 1000, [6]), (3, 2, [2]),
+                                (1, 8, []), (None, 8, [])]:
+        created.clear()
+        monkeypatch.setattr(prover.os, "cpu_count", lambda: cpus)
+        assert prove_unsolvable(4, cfg, jobs=jobs).to_json() == serial
+        assert created == workers

@@ -10,9 +10,11 @@ from monoproof.ratcore import (
     as_rational,
     eval_quadratic,
     format_rational,
+    homogeneous_solution,
     is_positive_definite,
     parse_rational,
     solve_linear,
+    symmetric_bareiss,
 )
 
 
@@ -155,6 +157,59 @@ def test_pd_gram_matrices():
             [gram[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)
         ]
         assert is_positive_definite(RatMatrix(bumped, symmetric=True))
+
+
+def _reference_det(rows) -> Fraction:
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def test_symmetric_bareiss_agrees_with_reference_path():
+    """The shared symmetric elimination on a homogenized [[H, b], [b^T, c]]
+    must stop at the first nonpositive leading minor, leave the minors a
+    separate Fraction determinant computes on its diagonal, and, when H is
+    positive definite, back-substitute to the pivoting solver's solution of
+    H x = -b."""
+    rng = random.Random(14)
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        sym = [[sum(g[k][i] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            for i in range(n):
+                sym[i][i] += rng.randint(1, 3)
+        else:
+            i = rng.randrange(n)
+            sym[i][i] -= rng.randint(0, 6)
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        full = [row + [b] for row, b in zip(sym, rhs)] + [rhs + [rng.randint(-20, 80)]]
+        minors = [_reference_det([row[:k] for row in full[:k]]) for k in range(1, n + 2)]
+        expected = next((k for k, d in enumerate(minors) if d <= 0), n + 1)
+        m = [row[r:] for r, row in enumerate(full)]
+        count = symmetric_bareiss(m)
+        assert count == expected
+        assert [m[k][0] for k in range(min(count + 1, n + 1))] == minors[: count + 1]
+        outcomes.add("not PD" if count < n else "last minor" if count == n else "all")
+        if count >= n:
+            X, D = homogeneous_solution(m)
+            assert D == minors[n - 1]
+            x = RatVector([Fraction(v, D) for v in X])
+            assert x == solve_linear(RatMatrix(sym), RatVector([-b for b in rhs]))
+    assert outcomes == {"not PD", "last minor", "all"}
 
 
 def test_eval_quadratic_matches_expansion():
