@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -128,29 +127,10 @@ def face_shadow_matrix(cfg: FaceConfig) -> ShadowMatrix:
     )
 
 
-def _count_full_rows(s: ShadowMatrix) -> int:
-    # literal floor formula: row i contributes 1 iff its off-diagonal sum
-    # reaches n-1, i.e. every entry is +1; zero entries (degenerate contacts)
-    # make the sum fall short, so degenerate equilibria are never counted
-    n = s.size
-    total = 0
-    for i in range(n):
-        total += math.floor(Fraction(1, 2) + Fraction(s.row_sum(i), 2 * (n - 1)))
-    return total
-
-
-def count_unstable(cfg: PointConfig) -> int:
-    """Number of (nondegenerate) unstable vertex equilibria."""
-    return _count_full_rows(vertex_shadow_matrix(cfg))
-
-
-def count_stable(cfg: FaceConfig) -> int:
-    """Number of (nondegenerate) stable face equilibria."""
-    return _count_full_rows(face_shadow_matrix(cfg))
-
-
 def unstable_vertices(cfg: PointConfig) -> list[int]:
-    """0-based indices of vertices carrying an unstable equilibrium."""
+    """0-based indices of vertices carrying an unstable equilibrium: rows of
+    the shadow matrix whose entries are all +1.  A zero entry (a degenerate
+    contact) makes the row fall short, so degenerate equilibria never count."""
     s = vertex_shadow_matrix(cfg)
     return [i for i in range(s.size) if s.row_sum(i) == s.size - 1]
 
@@ -159,6 +139,16 @@ def stable_faces(cfg: FaceConfig) -> list[int]:
     """0-based indices of faces carrying a stable equilibrium."""
     s = face_shadow_matrix(cfg)
     return [i for i in range(s.size) if s.row_sum(i) == s.size - 1]
+
+
+def count_unstable(cfg: PointConfig) -> int:
+    """Number of (nondegenerate) unstable vertex equilibria."""
+    return len(unstable_vertices(cfg))
+
+
+def count_stable(cfg: FaceConfig) -> int:
+    """Number of (nondegenerate) stable face equilibria."""
+    return len(stable_faces(cfg))
 
 
 def _simplex_volume6(vertices: Sequence[RatVector]) -> Fraction:

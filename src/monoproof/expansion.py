@@ -8,15 +8,27 @@ balance equations sum_i r_i = 0, each inequality becomes
 
     Q_i(x) = sum_k r_ik^2 - sum_k r_ik r_j(i)k <= 0
 
-over the n = 3V-7 free coordinates x.  Q_i is built here once per
-(V, i, j(i)) as the integer (n+1) x (n+1) matrix P = [[2A, b], [b^T, 2c0]]
-of the quadratic form f(x) = x^T A x + b.x + c0 homogenized at z = (x, 1),
-so that z^T P z = 2 f(x).  QuadraticForm is the exact-rational view of P.
+over the n = 3V-7 free coordinates x.  Q_i applies one quadratic to each
+axis k, so sum_i c_i Q_i = g_c(axis 1) + g_c(axis 2) + g_c(axis 3) for the
+(V-1)-variable form g_c(t) = sum_i c_i (t_i^2 - t_i t_j(i)), where
+t_V = -(t_1 + ... + t_(V-1)).  weighted_matrix builds the integer matrix
+G(c) of 2 g_c in the order (t_2, ..., t_(V-1), t_1); t_1 = r_11 = 1 makes
+it the form of axis 1 homogenized at z = (x, 1).  Let G_h be G without t_1.
+
+- The Hessian of the sum is block-diagonal: G_h on axes 1 and 2 and a
+  principal submatrix of G_h on axis 3, so it is PD exactly when G_h is.
+- The linear part and the constant sit on axis 1 only, so the minimizer is
+  zero on axes 2 and 3 and the minimum is d_(V-1) / (2 d_(V-2)) over the
+  leading minors d_k of G.
+- So c is a certificate exactly when all V-1 leading minors of G(c) are
+  positive.
+
+QuadraticForm is the exact-rational view over all 3V-7 coordinates, with G
+placed in the three axis blocks.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,67 +142,41 @@ class QuadraticForm:
         return eval_quadratic(self.A, self.b, self.c0, x)
 
 
-def _coordinate_vectors(V: int) -> dict[tuple[int, int], list[int]]:
-    """Every coordinate r_ik as an integer vector u over z = (x, 1), so that
-    r_ik = u.z: the fixed frame, the free variables themselves, and the
-    eliminated last vertex r_Vk = -(r_1k + ... + r_(V-1)k)."""
-    n = free_var_count(V)
-    vectors: dict[tuple[int, int], list[int]] = {}
-    for i in range(1, V):
-        for k in (1, 2, 3):
-            u = [0] * (n + 1)
-            if (i, k) == (1, 1):
-                u[n] = 1
-            elif i > 1 and (i, k) != (2, 3):
-                u[var_index(i, k, V)] = 1
-            vectors[(i, k)] = u
-    for k in (1, 2, 3):
-        vectors[(V, k)] = [-sum(col) for col in zip(*(vectors[(i, k)] for i in range(1, V)))]
-    return vectors
+def _axis_matrix(system: ShadowSystem, weights: Sequence[int]) -> list[list[int]]:
+    """G for the weights c_2..c_V (zeros allowed) as packed upper-triangle
+    rows: row r holds the entries (r, r), (r, r+1), ..., (r, V-2).
 
-
-@functools.lru_cache(maxsize=None)
-def _homogenized_form(V: int, i: int, j: int) -> dict[tuple[int, int], int]:
-    """Q_i = |r_i|^2 - r_i.r_j as the integer matrix P = [[2A, b], [b^T, 2c0]],
-    for which z^T P z = 2 Q_i(x) at z = (x, 1).
-
-    Returns the nonzero entries of P's upper triangle as {(row, col): value}.
-    Q_i depends only on (V, i, j), so each form is built on first use and
-    memoized; callers must not mutate the result.
-    """
-    vectors = _coordinate_vectors(V)
-    size = free_var_count(V) + 1
-    P = [[0] * size for _ in range(size)]
-    for k in (1, 2, 3):
-        # (u.z)^2 - (u.z)(w.z) = z^T (2 u u^T - u w^T - w u^T) z / 2
-        u, w = vectors[(i, k)], vectors[(j, k)]
-        for a in range(size):
-            if u[a] or w[a]:
-                row = P[a]
-                for b in range(a, size):
-                    row[b] += 2 * u[a] * u[b] - u[a] * w[b] - w[a] * u[b]
-    return {(a, b): P[a][b] for a in range(size) for b in range(a, size) if P[a][b]}
-
-
-def _assemble(system: ShadowSystem, weights) -> list[list[int]]:
-    """sum c * P_i over (i, c) in ``weights``, as packed upper-triangle rows:
-    row r holds the entries (r, r), (r, r+1), ..., (r, n)."""
+    Built in closed form from the coordinate vectors: t_i is a unit vector
+    for i < V and t_V the all-(-1) vector, so c_V adds 2 c_V to every entry
+    and c_V more to each entry in the row and column of t_j(V)."""
     V = system.V
-    size = free_var_count(V) + 1
-    m = [[0] * (size - r) for r in range(size)]
-    for i, c in weights:
-        for (a, b), value in _homogenized_form(V, i, system.j[i - 2]).items():
-            m[a][b - a] += c * value
+    size = V - 1
+    pos = [size - 1] + list(range(size - 1))  # t_i sits at pos[i - 1]
+    c_last, p = weights[-1], pos[system.j[-1] - 1]
+    m = [[2 * c_last + c_last * ((r == p) + (r + d == p)) for d in range(size - r)]
+         for r in range(size)]
+    for i, c in zip(range(2, V), weights):
+        a, b = pos[i - 1], pos[system.j[i - 2] - 1]
+        m[a][0] += 2 * c
+        m[min(a, b)][abs(a - b)] -= c
     return m
 
 
-def _quadratic_form(m: list[list[int]]) -> QuadraticForm:
-    """The QuadraticForm view of homogenized packed rows of [[2A, b], [b^T, 2c0]]."""
-    n = len(m) - 1
-    A = [[Fraction(m[min(r, c)][abs(c - r)], 2) for c in range(n)] for r in range(n)]
-    return QuadraticForm(
-        RatMatrix(A, symmetric=True), RatVector(m[r][n - r] for r in range(n)), Fraction(m[n][0], 2)
-    )
+def _quadratic_form(V: int, g: list[list[int]]) -> QuadraticForm:
+    """The QuadraticForm over the 3V-7 free coordinates of an axis matrix G:
+    axis 1 homogenized at t_1 = 1, axes 2 and 3 with their fixed coordinates
+    (t_1 = 0, and t_2 = 0 on axis 3) dropped."""
+    n, h = free_var_count(V), V - 2
+    A = [[Fraction(0)] * n for _ in range(n)]
+    b = [0] * n
+    for k in (1, 2, 3):
+        free = [(i - 2, var_index(i, k, V)) for i in range(2, V) if (i, k) != (2, 3)]
+        for r, x in free:
+            for c, y in free:
+                A[x][y] = Fraction(g[min(r, c)][abs(c - r)], 2)
+            if k == 1:
+                b[x] = g[r][h - r]
+    return QuadraticForm(RatMatrix(A, symmetric=True), RatVector(b), Fraction(g[h][0], 2))
 
 
 def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:
@@ -198,7 +184,8 @@ def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:
     expanded over the free coordinates; the inequality is Q_i(x) <= 0."""
     if not 2 <= i <= system.V:
         raise ValueError(f"vertex index {i} out of range 2..{system.V}")
-    return _quadratic_form(_assemble(system, [(i, 1)]))
+    unit = [int(l == i) for l in range(2, system.V + 1)]
+    return _quadratic_form(system.V, _axis_matrix(system, unit))
 
 
 def inequality_forms(system: ShadowSystem) -> list[QuadraticForm]:
@@ -217,15 +204,15 @@ def _check_coefficients(system: ShadowSystem, coeffs: Sequence[int]) -> None:
 
 
 def weighted_matrix(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[int]]:
-    """M(c) = sum_i c_i P_i, the homogenized integer matrix of 2 sum_i c_i Q_i,
-    as packed upper-triangle rows (row r holds columns r..n), the layout
+    """G(c), the (V-1) x (V-1) integer matrix of 2 g_c on one axis (see the
+    module docstring), as packed upper-triangle rows, the layout
     ratcore.symmetric_bareiss eliminates.
 
-    Its leading n x n block is the Hessian of the weighted sum, its last
-    column the linear part and its corner twice the constant.
+    Its leading block G_h is the axis-1 Hessian of the weighted sum, its
+    last column the linear part and its corner twice the constant.
     """
     _check_coefficients(system, coeffs)
-    return _assemble(system, zip(range(2, system.V + 1), coeffs))
+    return _axis_matrix(system, coeffs)
 
 
 def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> QuadraticForm:
@@ -235,7 +222,7 @@ def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> Quad
     strictly positive minimum, the shadowing system has no solution: any
     solution would make every Q_i <= 0 and hence the sum nonpositive.
     """
-    return _quadratic_form(weighted_matrix(system, coeffs))
+    return _quadratic_form(system.V, weighted_matrix(system, coeffs))
 
 
 def scaled_vertices(V: int, x: Sequence, scale) -> list[list]:

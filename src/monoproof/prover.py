@@ -6,17 +6,20 @@ c_2..c_V whose weighted inequality sum f = sum_i c_i Q_i is strictly convex
 solution of the system would make f nonpositive, so a certificate proves
 unsolvability.
 
-Every check runs on the homogenized integer matrix M(c) = sum_i c_i P_i of
-2f (see expansion).  By Sylvester's criterion and the Schur complement, c is
-a certificate exactly when all n+1 leading minors d_1..d_(n+1) of M(c) are
-positive, and the minimum of f is d_(n+1) / (2 d_n).  One pass of
+Every check runs on the (V-1) x (V-1) integer matrix G(c) of one axis (see
+expansion).  f applies one form to each axis, its Hessian is G_h (G without
+the homogenizing t_1) on two axes and a principal submatrix of G_h on the
+third, and its linear part and constant sit on axis 1 alone.  So c is a
+certificate exactly when all V-1 leading minors d_1..d_(V-1) of G(c) are
+positive, and the minimum of f is d_(V-1) / (2 d_(V-2)).  One pass of
 ratcore.symmetric_bareiss yields those minors.  A trial that fails at a
-minor k <= n has a Hessian that is not positive definite; one that fails
-only at d_(n+1) has a nonpositive minimum.  The minimizer is computed only
-for accepted weights, by fraction-free back substitution; Fractions appear
-only in the returned values.  verify_certificate then audits the result on
-the geometry itself: it rebuilds the scaled vertices from the minimizer and
-checks the value and the zero gradient of f there in integers.
+minor k <= V-2 has a Hessian that is not positive definite; one that fails
+only at d_(V-1) has a nonpositive minimum.  The minimizer is computed only
+for accepted weights, by fraction-free back substitution on axis 1, and is
+zero on axes 2 and 3; Fractions appear only in the returned values.
+verify_certificate then audits the result on the geometry itself: it
+rebuilds the scaled vertices from the minimizer and checks the value and the
+zero gradient of f over all 3V-7 free coordinates in integers.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister);
@@ -47,6 +50,7 @@ from monoproof.expansion import (
     enumerate_systems,
     free_var_count,
     scaled_vertices,
+    var_index,
     weighted_matrix,
 )
 
@@ -76,16 +80,19 @@ def minimize_strictly_convex(form: QuadraticForm) -> tuple[RatVector, Fraction]:
     m = [[int(e * scale) for e in row] for row in rows]
     if symmetric_bareiss(m) < n:
         raise NotConvex("Hessian is not positive definite")
-    X, D, d_last = _stationary_point(m)
-    return RatVector(Fraction(x, D) for x in X), Fraction(d_last, 2 * scale * D)
-
-
-def _stationary_point(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """(X, d_n, d_(n+1)) from an eliminated homogenized matrix whose first n
-    leading minors are positive: the minimizer is X / d_n and the minimum
-    d_(n+1) / (2 d_n)."""
     X, D = homogeneous_solution(m)
-    return X, D, m[-1][0]
+    return RatVector(Fraction(x, D) for x in X), Fraction(m[-1][0], 2 * scale * D)
+
+
+def _axis1_point(V: int, m: list[list[int]]) -> tuple[list[int], int]:
+    """(X, D) from an eliminated G(c) whose first V-2 leading minors are
+    positive: D = d_(V-2) and X = D x, the minimizer in the 3V-7 layout,
+    solved on axis 1 and zero on axes 2 and 3."""
+    T, D = homogeneous_solution(m)
+    X = [0] * free_var_count(V)
+    for i, t in zip(range(2, V), T):
+        X[var_index(i, 1, V)] = t
+    return X, D
 
 
 @dataclass(frozen=True)
@@ -140,11 +147,11 @@ class VerifyResult:
 
 
 def _audit(system: ShadowSystem, coeffs: Sequence[int], X: list[int], D: int, d_last: int) -> None:
-    """Check a minimizer on the geometry, apart from the cached forms.
+    """Check a minimizer on the geometry, apart from the axis matrix.
 
     With R_i = D r_i rebuilt from X = D x by the variable layout alone,
     F = sum_i c_i (|r_i|^2 - r_i.r_j(i)) must equal the minimum
-    d_(n+1) / (2 d_n), that is 2 sum_i c_i (|R_i|^2 - R_i.R_j(i)) = d_n d_(n+1),
+    d_last / (2 D), that is 2 sum_i c_i (|R_i|^2 - R_i.R_j(i)) = D d_last,
     and its gradient over the free coordinates must vanish:
     dF/dr_ik = dF/dr_Vk for every free (i, k), as r_V = -(r_1 + ... + r_(V-1)).
     """
@@ -176,9 +183,10 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     if V != system.V:
         raise ValueError(f"vertex count {V} does not match system (V={system.V})")
     m = weighted_matrix(system, coeffs)
-    if symmetric_bareiss(m) < len(m) - 1:
+    if symmetric_bareiss(m) < V - 2:
         return VerifyResult(hessian_pd=False, min_value=None, positive=False)
-    X, D, d_last = _stationary_point(m)
+    X, D = _axis1_point(V, m)
+    d_last = m[-1][0]
     _audit(system, coeffs, X, D, d_last)
     return VerifyResult(
         hessian_pd=True,
@@ -192,12 +200,12 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     """Randomized certificate search for one system.
 
     Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] and run
-    one symmetric Bareiss pass on M(c).  A failing minor among the first n
+    one symmetric Bareiss pass on G(c).  A failing minor among the first V-2
     counts as non-PD, a failing last minor as a nonpositive minimum.  Returns
     the first Certificate found, or Exhausted with per-failure-kind counters
     after max_trials draws.
     """
-    n = free_var_count(system.V)
+    n = system.V - 2
     rng = random.Random(cfg.base_seed)
     negative, non_pd = 0, 0
     for trial in range(1, cfg.max_trials + 1):
@@ -209,12 +217,12 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
         elif positive_minors == n:
             negative += 1
         else:
-            X, D, d_last = _stationary_point(m)
+            X, D = _axis1_point(system.V, m)
             return Certificate(
                 system=system,
                 coeffs=coeffs,
                 minimizer=RatVector(Fraction(x, D) for x in X),
-                min_value=Fraction(d_last, 2 * D),
+                min_value=Fraction(m[-1][0], 2 * D),
                 trials=trial,
             )
     return Exhausted(

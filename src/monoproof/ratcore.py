@@ -143,10 +143,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], symmetric=True)
 
-    @classmethod
-    def zeros(cls, n: int) -> "RatMatrix":
-        return cls([[0] * n for _ in range(n)], symmetric=True)
-
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -154,22 +150,11 @@ class RatMatrix:
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
-    def row(self, i: int) -> RatVector:
-        return RatVector(self.entries[i])
-
     def matvec(self, x: RatVector) -> RatVector:
         if len(x) != self.n:
             raise ValueError(f"dimension mismatch: matrix {self.n}, vector {len(x)}")
         return RatVector(
             sum((a * b for a, b in zip(row, x.entries)), Fraction(0)) for row in self.entries
-        )
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return RatMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            symmetric=self.symmetric and other.symmetric,
         )
 
     def scale(self, factor: RationalLike) -> "RatMatrix":

@@ -16,6 +16,7 @@ from monoproof.expansion import (
     reconstruct_vertices,
     var_index,
     weighted_inequality_sum,
+    weighted_matrix,
 )
 from monoproof.ratcore import RatMatrix, RatVector
 
@@ -143,6 +144,8 @@ def test_form_shapes_and_hessian_integrality():
                 assert (2 * value).denominator == 1
         assert all(v.denominator == 1 for v in form.b)
         assert form.c0.denominator == 1
+    # search and verify eliminate the one-axis matrix: V-1 packed rows
+    assert [len(row) for row in weighted_matrix(system, (1,) * 5)] == [5, 4, 3, 2, 1]
 
 
 def test_weighted_sum_is_linear_in_weights():

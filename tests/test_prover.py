@@ -12,7 +12,9 @@ from monoproof.expansion import (
     QuadraticForm,
     ShadowSystem,
     enumerate_systems,
+    free_var_count,
     inequality_forms,
+    reconstruct_vertices,
     var_index,
     weighted_inequality_sum,
 )
@@ -256,8 +258,9 @@ def test_search_respects_coefficient_bounds():
 
 
 def test_integer_core_agrees_with_form_path():
-    """verify_certificate (cached integer forms, one symmetric Bareiss pass,
-    fraction-free back substitution) must agree with the Fraction form path
+    """verify_certificate (the one-axis (V-1) x (V-1) integer matrix, one
+    symmetric Bareiss pass, fraction-free back substitution) must agree with
+    the full 3V-7 Fraction path
     minimize_strictly_convex(weighted_inequality_sum(...)) on the PD flag,
     the minimum and the minimizer, which the pivoting solver and a direct
     evaluation confirm.  Cases: every 10th bundled row per V, and seeded
@@ -295,23 +298,68 @@ def test_integer_core_agrees_with_form_path():
     assert min(outcomes[kind] for kind in ("non_pd", "negative", "positive")) > 0, outcomes
 
 
+def test_pd_flag_against_second_difference_hessian():
+    """A positive-definiteness oracle that shares no code with the forms: the
+    full (3V-7) x (3V-7) Hessian of F(x) = sum_i c_i (|r_i|^2 - r_i.r_j(i))
+    from second differences F(e_p + e_q) - F(e_p) - F(e_q) + F(0) on
+    reconstruct_vertices(V, x), exact because F is quadratic.  Cases: every
+    10th bundled row per V, and seeded random weights at V = 5..8 that
+    include non-PD and negative draws."""
+    cases = []
+    for V in (4, 5, 6, 7):
+        rows = parse_certificate_table(bundled_table_path(V)).rows
+        cases += [(row.system, row.coeffs) for row in rows[::10]]
+    rng = random.Random(47)
+    for _ in range(120):
+        V = rng.randint(5, 8)
+        system = ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
+        coeffs = tuple(rng.choice((rng.randint(1, 101), rng.randint(1, 3000)))
+                       for _ in range(V - 1))
+        cases.append((system, coeffs))
+    outcomes = Counter()
+    for system, coeffs in cases:
+        V, n = system.V, free_var_count(system.V)
+
+        def F(x):  # x is integral, so are the vertices
+            rs = [[int(e) for e in r] for r in reconstruct_vertices(V, RatVector(x))]
+            return sum(c * sum(a * a - a * b for a, b in zip(rs[i - 1], rs[system.j_of(i) - 1]))
+                       for i, c in zip(range(2, V + 1), coeffs))
+
+        unit = [[int(p == q) for q in range(n)] for p in range(n)]
+        f0, f1 = F([0] * n), [F(u) for u in unit]
+        H = [[0] * n for _ in range(n)]
+        for p in range(n):
+            for q in range(p, n):
+                pair = [a + b for a, b in zip(unit[p], unit[q])]
+                H[p][q] = H[q][p] = F(pair) - f1[p] - f1[q] + f0
+        got = verify_certificate(V, system, coeffs)
+        assert is_positive_definite(RatMatrix(H, symmetric=True)) == got.hessian_pd
+        outcomes["positive" if got.positive else "negative" if got.hessian_pd else "non_pd"] += 1
+    assert min(outcomes[kind] for kind in ("non_pd", "negative", "positive")) > 0, outcomes
+
+
 @pytest.mark.parametrize("corrupt", ["constant", "hessian"])
-def test_audit_catches_a_corrupted_cached_form(corrupt):
-    """A wrong memoized form entry moves the minimum (constant entry) or the
-    minimizer (Hessian entry); the geometric audit in verify_certificate
-    must reject either."""
+def test_audit_catches_a_corrupted_axis_matrix(corrupt, monkeypatch):
+    """A wrong entry of the axis matrix G(c) moves the minimum (its corner)
+    or the minimizer (an off-diagonal axis-1 Hessian entry); the geometric
+    audit in verify_certificate must reject either."""
     V, choices, coeffs, expected = KNOWN_ROWS[1]
     system = ShadowSystem.from_choices(V, choices)
-    n = expansion.free_var_count(V)
-    form = expansion._homogenized_form(V, V, system.j_of(V))
-    key = (n, n) if corrupt == "constant" else next(k for k in form if k[0] != k[1] and k[1] < n)
-    try:
-        form[key] += 1
-        audit = f"system {system.system_id} failed the geometric audit"
-        with pytest.raises(RuntimeError, match=audit):
-            verify_certificate(V, system, coeffs)
-    finally:
-        expansion._homogenized_form.cache_clear()
+    build = expansion.weighted_matrix
+
+    def corrupted(system, coeffs):
+        m = build(system, coeffs)
+        if corrupt == "constant":
+            m[-1][0] += 1
+        else:
+            m[0][1] += 1
+        return m
+
+    monkeypatch.setattr(prover, "weighted_matrix", corrupted)
+    audit = f"system {system.system_id} failed the geometric audit"
+    with pytest.raises(RuntimeError, match=audit):
+        verify_certificate(V, system, coeffs)
+    monkeypatch.undo()
     assert verify_certificate(V, system, coeffs).min_value == expected
 
 
