@@ -10,14 +10,13 @@ squared norms so no roots ever appear.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from monoproof.ratcore import RatVector, RationalLike, as_rational, parse_rational
+from monoproof.ratcore import RatVector, RationalLike, nonneg_combination_exists
 
 
 class DegenerateSimplex(ValueError):
@@ -204,59 +203,18 @@ def dawson_tips(x_i: RatVector, x_j: RatVector) -> bool:
     return x_i.dot(x_j) - x_i.dot(x_i) > 0
 
 
-def _exact_nonneg_combination(columns: list[RatVector], target: RatVector) -> bool:
-    """Does target = sum(lam_c * columns[c]) admit a solution with lam >= 0?
-
-    Columns already carry the homogenizing 1-row, so lam sums to 1 whenever
-    a solution exists.  A nonempty feasible set contains a basic solution
-    supported on at most len(target) independent columns, so enumerating
-    those small subsets decides feasibility exactly.
-    """
-    m = len(target)
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(len(columns)), size):
-            lam = _solve_unique(columns, subset, target)
-            if lam is not None and all(v >= 0 for v in lam):
-                return True
-    return False
-
-
-def _solve_unique(
-    columns: list[RatVector], subset: tuple[int, ...], target: RatVector
-) -> list[Fraction] | None:
-    """Unique solution of the column-subset system, or None when the columns
-    are dependent or the system is inconsistent."""
-    m = len(target)
-    k = len(subset)
-    aug = [[columns[c][row] for c in subset] + [target[row]] for row in range(m)]
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None  # dependent columns: a smaller support covers this case
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col] / aug[row][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    if any(aug[r][k] != 0 for r in range(row, m)):
-        return None  # inconsistent
-    # Gauss-Jordan left a diagonal system: pivot_rows is exactly 0..k-1
-    return [aug[i][k] / aug[i][i] for i in range(k)]
-
-
 def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
-    """True iff vertex i is NOT a convex combination of the other vertices,
-    decided by exact feasibility over all small column subsets."""
+    """True iff vertex i is NOT a convex combination of the other vertices.
+
+    Homogenized with a trailing 1, that asks whether (r_i, 1) is a
+    nonnegative combination of the columns (r_j, 1), j != i (the weights
+    then sum to 1), which the exact phase-I simplex
+    ``ratcore.nonneg_combination_exists`` decides.
+    """
     if not 0 <= i < cfg.V:
         raise IndexError(f"vertex index {i} out of range")
-    one = Fraction(1)
-    columns = [
-        RatVector(list(v.entries) + [one]) for j, v in enumerate(cfg.vertices) if j != i
-    ]
-    target = RatVector(list(cfg.vertices[i].entries) + [one])
-    return not _exact_nonneg_combination(columns, target)
+    columns = [[*v, 1] for j, v in enumerate(cfg.vertices) if j != i]
+    return not nonneg_combination_exists(columns, [*cfg.vertices[i], 1])
 
 
 def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig]:
@@ -284,12 +242,12 @@ def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig
     for row in coords:
         if not isinstance(row, list) or len(row) != d:
             raise ValueError(f"each coordinate row must have exactly {d} entries")
-        parsed = []
         for entry in row:
             if isinstance(entry, bool) or isinstance(entry, float):
                 raise ValueError(f"inexact coordinate {entry!r}; use integers or 'p/q' strings")
-            parsed.append(parse_rational(entry) if isinstance(entry, str) else as_rational(entry))
-        rows.append(RatVector(parsed))
+            if not isinstance(entry, (int, str)):
+                raise ValueError(f"coordinate {entry!r} is not an integer or a 'p/q' string")
+        rows.append(RatVector(row))
     if kind == "vertices":
         return PointConfig(rows, d=d)
     return FaceConfig(rows, d=d)

@@ -1,11 +1,14 @@
-"""Exact rational vectors, symmetric matrices, linear solving and PD testing.
+"""Exact rational vectors, symmetric matrices, linear solving, PD testing and
+nonnegative-combination feasibility.
 
 Public values are ``fractions.Fraction`` (arbitrary precision, always in
 lowest terms, positive denominator).  Nothing here ever rounds: elimination
 is done fraction-free over the integers after clearing denominators, so
-results are exact by construction.  symmetric_bareiss is the one
-elimination behind positive-definiteness tests and certificate checks; the
-pivoting _bareiss_forward serves only the general solve_linear.
+results are exact by construction.  symmetric_bareiss is the proof core:
+the one elimination behind positive-definiteness tests and certificate
+checks.  Outside it, one integer Gauss-Jordan pivot (_jordan_pivot) serves
+both the general solve_linear and the phase-I simplex
+nonneg_combination_exists.
 """
 
 from __future__ import annotations
@@ -173,50 +176,83 @@ def _clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
     return [int(e * scale) for e in row]
 
 
-def _bareiss_forward(rows: list[list[int]], width: int) -> None:
-    """Fraction-free elimination in place; raises SingularError on rank deficiency.
+def _jordan_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """Integer-preserving Gauss-Jordan step on entry (r, c), in place.
 
-    ``rows`` is n x width with width >= n; columns beyond n ride along (RHS).
-    Divisions are exact (Bareiss), and remain exact under row swaps.
+    Every row i != r becomes (p * row_i - row_i[c] * row_r) // prev with
+    p = rows[r][c]; row r is kept, and p is returned as the next ``prev``.
+    Starting from an integer matrix with prev = 1, every entry stays a minor
+    of that matrix (Edmonds, J. Res. NBS 71B, 1967), so each division is
+    exact.
     """
-    n = len(rows)
-    prev = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularError(k)
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            rkk = rows[k][k]
-            row_i = rows[i]
-            row_k = rows[k]
-            for j in range(k, width):
-                row_i[j] = (rkk * row_i[j] - rik * row_k[j]) // prev
-        prev = rows[k][k]
-
-
-def _back_substitute(aug: list[list[int]]) -> list[Fraction]:
-    """Exact back substitution on an n x (n+1) upper-triangular system."""
-    n = len(aug)
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    row_r = rows[r]
+    p = row_r[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            a = row[c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(row, row_r)]
+    return p
 
 
 def solve_linear(A: RatMatrix, b: RatVector) -> RatVector:
-    """Solve A x = b exactly; raises SingularError on exact rank deficiency."""
+    """Solve A x = b exactly; raises SingularError on exact rank deficiency.
+
+    Column k pivots on the first row not yet pivoted whose entry is nonzero;
+    when there is none, column k depends on columns 0..k-1.
+    """
     n = A.n
     if len(b) != n:
         raise ValueError(f"dimension mismatch: matrix {n}, rhs {len(b)}")
-    aug = [_clear_row_denominators(list(A[i]) + [b[i]]) for i in range(n)]
-    _bareiss_forward(aug, n + 1)
-    return RatVector(_back_substitute(aug))
+    rows = [_clear_row_denominators(list(A[i]) + [b[i]]) for i in range(n)]
+    pivot_rows: list[int] = []
+    prev = 1
+    for k in range(n):
+        r = next((i for i in range(n) if i not in pivot_rows and rows[i][k] != 0), None)
+        if r is None:
+            raise SingularError(k)
+        prev = _jordan_pivot(rows, r, k, prev)
+        pivot_rows.append(r)
+    return RatVector(Fraction(rows[r][n], rows[r][k]) for k, r in enumerate(pivot_rows))
+
+
+def nonneg_combination_exists(
+    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+) -> bool:
+    """Is target = sum(lam_c * columns[c]) for some lam >= 0?
+
+    Exact phase-I simplex on the integer tableau [A | I | t], where A holds
+    the columns and t the target.  Each row is sign-flipped so its target
+    entry is >= 0 and denominator-cleared before the artificial identity
+    columns go on, so the starting basis is I.  Bland's rule (Math. Oper.
+    Res. 2, 1977) enters the lowest column with positive phase-I cost (its
+    sum over the rows whose basis is artificial) and breaks ratio ties by
+    the lowest basis index, so the simplex cannot cycle; an artificial that
+    leaves never re-enters.  Every pivot is positive, so the tableau stays
+    D * B^-1 [A | I | t] with D > 0, and the target is feasible iff every
+    artificial still in the basis has right-hand side 0.
+    """
+    m, n = len(target), len(columns)
+    rows = []
+    for i in range(m):
+        row = _clear_row_denominators([col[i] for col in columns] + [target[i]])
+        if row[-1] < 0:
+            row = [-x for x in row]
+        rows.append(row[:-1] + [int(k == i) for k in range(m)] + row[-1:])
+    basis = list(range(n, n + m))
+    prev = 1
+    while True:
+        artificial = [row for row, col in zip(rows, basis) if col >= n]
+        if all(row[-1] == 0 for row in artificial):
+            return True
+        entering = next((c for c in range(n) if sum(row[c] for row in artificial) > 0), None)
+        if entering is None:
+            return False
+        r = min(
+            (i for i in range(m) if rows[i][entering] > 0),
+            key=lambda i: (Fraction(rows[i][-1], rows[i][entering]), basis[i]),
+        )
+        prev = _jordan_pivot(rows, r, entering, prev)
+        basis[r] = entering
 
 
 def symmetric_bareiss(m: list[list[int]]) -> int:

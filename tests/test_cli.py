@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monoproof
 import monoproof.tables
 from monoproof.cli import main
 from monoproof.tables import bundled_table_path
@@ -232,6 +237,19 @@ def test_count_missing_input(capsys):
     assert "error:" in err
 
 
+NON_NUMERIC = [None, [1], {"p": 1}]
+
+
+@pytest.mark.parametrize("bad", NON_NUMERIC)
+def test_count_rejects_non_numeric_coordinates(tmp_path, capsys, bad):
+    cfg = write_json(tmp_path, {"d": 3, "kind": "vertices",
+                                "coords": [[1, 2, bad], [0, 0, 1]]})
+    code, out, err = run(capsys, "count", "--input", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(bad) in err
+
+
 # ---------------------------------------------------------------- systems
 
 
@@ -283,6 +301,16 @@ def test_check_hull_rejects_face_input(tmp_path, capsys):
     assert "vertices" in err
 
 
+@pytest.mark.parametrize("bad", NON_NUMERIC)
+def test_check_hull_rejects_non_numeric_coordinates(tmp_path, capsys, bad):
+    cfg = write_json(tmp_path, {"d": 3, "kind": "vertices",
+                                "coords": [[1, 2, bad], [0, 0, 1]]})
+    code, out, err = run(capsys, "check-hull", "--input", cfg)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(bad) in err
+
+
 # ---------------------------------------------------------------- misc
 
 
@@ -291,3 +319,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "monoproof" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(monoproof.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "monoproof", "--version"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("monoproof ")

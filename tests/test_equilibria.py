@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -276,6 +277,80 @@ def test_hull_vertex_edge_midpoint():
 def test_hull_vertex_index_error():
     with pytest.raises(IndexError):
         is_hull_vertex(PointConfig(TETRA), 7)
+
+
+def _solve_column_subset(columns, subset, target):
+    """Unique solution of the column-subset system by Fraction Gauss-Jordan,
+    or None when the columns are dependent or the system is inconsistent."""
+    m = len(target)
+    k = len(subset)
+    aug = [[columns[c][row] for c in subset] + [target[row]] for row in range(m)]
+    row = 0
+    for col in range(k):
+        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col] / aug[row][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        row += 1
+    if any(aug[r][k] != 0 for r in range(row, m)):
+        return None
+    return [aug[i][k] / aug[i][i] for i in range(k)]
+
+
+def reference_is_hull_vertex(points, i):
+    """Column-subset oracle: a feasible nonnegative combination of the
+    homogenized columns (r_j, 1) has a basic solution on at most d+1
+    independent columns, so solving every small subset exactly decides it."""
+    columns = [list(p) + [Fraction(1)] for j, p in enumerate(points) if j != i]
+    target = list(points[i]) + [Fraction(1)]
+    for size in range(1, len(target) + 1):
+        for subset in itertools.combinations(range(len(columns)), size):
+            lam = _solve_column_subset(columns, subset, target)
+            if lam is not None and all(v >= 0 for v in lam):
+                return False
+    return True
+
+
+def test_hull_vertex_matches_subset_oracle():
+    """1,000 seeded small-grid configurations (d = 2, 3, 4; 2..9 points, so
+    duplicates and collinear or coplanar sets occur), half of them with one
+    point replaced by an exact convex combination of others with fractional
+    weights; the queried point is that combination or a random point."""
+    rng = random.Random(20240607)
+    answers = set()
+    for _ in range(1000):
+        d = rng.choice((2, 3, 4))
+        V = rng.randint(2, 9)
+        grid = rng.choice((1, 2, 3))
+        points = [[Fraction(rng.randint(-grid, grid)) for _ in range(d)] for _ in range(V)]
+        i = rng.randrange(V)
+        if V > 2 and rng.random() < 0.5:
+            others = [j for j in range(V) if j != i]
+            support = rng.sample(others, rng.randint(1, len(others)))
+            weights = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in support]
+            total = sum(weights)
+            points[i] = [
+                sum(w * points[j][c] for w, j in zip(weights, support)) / total
+                for c in range(d)
+            ]
+            if rng.random() < 0.5:
+                i = rng.randrange(V)
+        expected = reference_is_hull_vertex(points, i)
+        assert is_hull_vertex(PointConfig(points, d=d), i) == expected, (points, i)
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_hull_vertex_moment_curve_24_points():
+    # (t, t^2, t^3) for t = 0..23 is in convex position: every point is a
+    # hull vertex, so no query can stop early (the column-subset enumeration
+    # solved all 10,902 subsets of size <= 4 per point here)
+    cfg = PointConfig([(t, t * t, t ** 3) for t in range(24)])
+    assert all(is_hull_vertex(cfg, i) for i in range(24))
 
 
 def test_load_config_round_trip(tmp_path):

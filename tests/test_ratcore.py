@@ -12,6 +12,7 @@ from monoproof.ratcore import (
     format_rational,
     homogeneous_solution,
     is_positive_definite,
+    nonneg_combination_exists,
     parse_rational,
     solve_linear,
     symmetric_bareiss,
@@ -117,14 +118,37 @@ def test_solve_linear_random_systems():
 
 def test_solve_linear_singular():
     A = RatMatrix([[1, 2], [2, 4]])
-    with pytest.raises(SingularError):
+    with pytest.raises(SingularError) as info:
         solve_linear(A, RatVector([1, 1]))
+    assert info.value.pivot_index == 1
+    # column 1 is twice column 0, column 2 is independent: the index names
+    # the first dependent column, not the last one
+    A = RatMatrix([[1, 2, 0], [2, 4, 1], [3, 6, 5]])
+    with pytest.raises(SingularError) as info:
+        solve_linear(A, RatVector([1, 2, 3]))
+    assert info.value.pivot_index == 1
 
 
 def test_solve_needs_pivoting():
     # leading zero forces a row swap inside the elimination
     A = RatMatrix([[0, 1], [1, 0]])
     assert solve_linear(A, RatVector([3, 4])) == RatVector([4, 3])
+
+
+def test_nonneg_combination_target_equal_to_a_column():
+    """Degenerate phase-I cases: the target is one of the columns (a
+    repeated one, next to a zero column), so ratio tests tie and pivots
+    can be degenerate."""
+    columns = [
+        RatVector(c)
+        for c in ([1, 0, 1], [0, 0, 0], ["1/2", 3, 1], [1, 0, 1], [0, "-1/3", 1])
+    ]
+    for col in columns:
+        assert nonneg_combination_exists(columns, col)
+    assert nonneg_combination_exists(columns, RatVector([0, 0, 0]))
+    assert nonneg_combination_exists(columns, RatVector([1, 0, 2]))
+    assert not nonneg_combination_exists(columns, RatVector([-1, 0, 1]))
+    assert not nonneg_combination_exists(columns[:1], RatVector([1, 0, 2]))
 
 
 def test_pd_known_cases():
