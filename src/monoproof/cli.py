@@ -22,8 +22,6 @@ from monoproof import __version__
 from monoproof.equilibria import (
     FaceConfig,
     PointConfig,
-    count_stable,
-    count_unstable,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
@@ -181,7 +179,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
         if not isinstance(cfg, FaceConfig):
             return _fail_usage("--faces needs a face-vector input (kind: 'faces')")
         matrix = face_shadow_matrix(cfg)
-        print(f"S = {count_stable(cfg)}")
+        print(f"S = {len(matrix.equilibria())}")
         for i in range(cfg.F):
             status = _describe_row(matrix, i, "face")
             print(f"face {i + 1}: {status}")
@@ -193,7 +191,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
         print("warning: squared vertex norms are not pairwise distinct; "
               "degenerate contacts possible", file=sys.stderr)
     matrix = vertex_shadow_matrix(cfg)
-    print(f"U = {count_unstable(cfg)}")
+    print(f"U = {len(matrix.equilibria())}")
     for i in range(cfg.V):
         status = _describe_row(matrix, i, "vertex")
         print(f"vertex {i + 1}: {status}")

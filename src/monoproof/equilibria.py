@@ -3,14 +3,22 @@
 A vertex p_i of a convex body with center of mass at the origin carries an
 unstable equilibrium iff no other vertex "shadows" it, i.e. iff
 (r_i - r_j).r_i > 0 for every j.  Faces behave dually through their face
-vectors q_i (foot of the perpendicular from the center of mass).  All
-predicates are decided in exact rational arithmetic; norm comparisons use
-squared norms so no roots ever appear.
+vectors q_i (foot of the perpendicular from the center of mass).
+
+All signs come from one integer kernel.  It clears denominators once per
+configuration, R_i = L * r_i with L the lcm of every coordinate
+denominator, and returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by
+L^2 > 0 keeps every sign, zeros (degenerate contacts) included, so K on the
+vertices is the vertex shadow matrix.  Since (q_j - q_i).q_j =
+|q_j|^2 - q_i.q_j, the face shadow matrix is K on the face vectors,
+transposed.  Norm comparisons use squared norms, so no roots ever appear.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +62,7 @@ class PointConfig:
     @property
     def is_generic(self) -> bool:
         """True when all squared vertex norms are pairwise distinct."""
-        norms = [v.norm_sq() for v in self.vertices]
+        norms = [_dot(R, R) for R in _cleared(self.vertices)[0]]
         return len(set(norms)) == len(norms)
 
 
@@ -99,45 +107,56 @@ class ShadowMatrix:
     def row_sum(self, i: int) -> int:
         return sum(self.entries[i])
 
+    def equilibria(self) -> list[int]:
+        """Rows whose off-diagonal entries are all +1.  A zero entry (a
+        degenerate contact) makes the row fall short, so degenerate
+        equilibria never count."""
+        return [i for i in range(self.size) if self.row_sum(i) == self.size - 1]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _cleared(vectors: Sequence[RatVector]) -> tuple[list[list[int]], int]:
+    """(R, L): L is the lcm of all coordinate denominators and R_i = L * r_i,
+    an integer row."""
+    L = math.lcm(*(e.denominator for v in vectors for e in v.entries))
+    return [[e.numerator * (L // e.denominator) for e in v.entries] for v in vectors], L
+
+
+def _shadow_kernel(vectors: Sequence[RatVector]) -> list[list[int]]:
+    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on the cleared rows, read off their
+    Gram matrix; the diagonal is sign(0) = 0 by construction."""
+    rows, _ = _cleared(vectors)
+    gram = [[_dot(R, S) for S in rows] for R in rows]
+    return [[_sign(g[a] - x) for x in g] for a, g in enumerate(gram)]
+
 
 def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:
     """sign((r_i - r_j).r_i); -1 means p_i is shadowed by p_j."""
-    return _sign((r_i - r_j).dot(r_i))
+    return _shadow_kernel((r_i, r_j))[0][1]
 
 
 def vertex_shadow_matrix(cfg: PointConfig) -> ShadowMatrix:
-    rs = cfg.vertices
-    return ShadowMatrix(
-        tuple(
-            tuple(0 if i == j else shadow_sign(rs[i], rs[j]) for j in range(cfg.V))
-            for i in range(cfg.V)
-        )
-    )
+    """Entry (i,j) = sign((r_i - r_j).r_i): the kernel on the vertices."""
+    return ShadowMatrix(tuple(map(tuple, _shadow_kernel(cfg.vertices))))
 
 
 def face_shadow_matrix(cfg: FaceConfig) -> ShadowMatrix:
-    """Dual sign matrix: entry (i,j) = sign((q_j - q_i).q_j)."""
-    qs = cfg.faces
-    return ShadowMatrix(
-        tuple(
-            tuple(0 if i == j else _sign((qs[j] - qs[i]).dot(qs[j])) for j in range(cfg.F))
-            for i in range(cfg.F)
-        )
-    )
+    """Dual sign matrix: entry (i,j) = sign((q_j - q_i).q_j), the kernel on
+    the face vectors transposed."""
+    return ShadowMatrix(tuple(zip(*_shadow_kernel(cfg.faces))))
 
 
 def unstable_vertices(cfg: PointConfig) -> list[int]:
-    """0-based indices of vertices carrying an unstable equilibrium: rows of
-    the shadow matrix whose entries are all +1.  A zero entry (a degenerate
-    contact) makes the row fall short, so degenerate equilibria never count."""
-    s = vertex_shadow_matrix(cfg)
-    return [i for i in range(s.size) if s.row_sum(i) == s.size - 1]
+    """0-based indices of vertices carrying an unstable equilibrium."""
+    return vertex_shadow_matrix(cfg).equilibria()
 
 
 def stable_faces(cfg: FaceConfig) -> list[int]:
     """0-based indices of faces carrying a stable equilibrium."""
-    s = face_shadow_matrix(cfg)
-    return [i for i in range(s.size) if s.row_sum(i) == s.size - 1]
+    return face_shadow_matrix(cfg).equilibria()
 
 
 def count_unstable(cfg: PointConfig) -> int:
@@ -150,9 +169,15 @@ def count_stable(cfg: FaceConfig) -> int:
     return len(stable_faces(cfg))
 
 
-def _simplex_volume6(vertices: Sequence[RatVector]) -> Fraction:
+def _tetrahedron(vertices: Sequence[RatVector]) -> list[RatVector]:
+    """The four vertices as RatVectors, checked for a nonzero volume."""
+    vertices = [v if isinstance(v, RatVector) else RatVector(v) for v in vertices]
+    if len(vertices) != 4:
+        raise ValueError("expected exactly 4 vertices")
     v0, v1, v2, v3 = vertices
-    return (v1 - v0).dot((v2 - v0).cross(v3 - v0))
+    if (v1 - v0).dot((v2 - v0).cross(v3 - v0)) == 0:
+        raise DegenerateSimplex("vertices are affinely dependent")
+    return vertices
 
 
 def simplex_face_vectors(vertices: Sequence[RatVector], o: RatVector) -> FaceConfig:
@@ -162,11 +187,7 @@ def simplex_face_vectors(vertices: Sequence[RatVector], o: RatVector) -> FaceCon
     the perpendicular dropped onto that face's plane.  The projection only
     divides by |normal|^2, so everything stays rational.
     """
-    vertices = [v if isinstance(v, RatVector) else RatVector(v) for v in vertices]
-    if len(vertices) != 4:
-        raise ValueError("expected exactly 4 vertices")
-    if _simplex_volume6(vertices) == 0:
-        raise DegenerateSimplex("vertices are affinely dependent")
+    vertices = _tetrahedron(vertices)
     qs = []
     for i in range(4):
         a, b, c = (vertices[j] for j in range(4) if j != i)
@@ -182,11 +203,7 @@ def simplex_face_vectors(vertices: Sequence[RatVector], o: RatVector) -> FaceCon
 def simplex_area_vectors(vertices: Sequence[RatVector]) -> list[RatVector]:
     """Outward area vectors of a tetrahedron: x_i is normal to the face
     opposite vertex i, |x_i| equals that face's area, and sum(x_i) = 0."""
-    vertices = [v if isinstance(v, RatVector) else RatVector(v) for v in vertices]
-    if len(vertices) != 4:
-        raise ValueError("expected exactly 4 vertices")
-    if _simplex_volume6(vertices) == 0:
-        raise DegenerateSimplex("vertices are affinely dependent")
+    vertices = _tetrahedron(vertices)
     xs = []
     for i in range(4):
         a, b, c = (vertices[j] for j in range(4) if j != i)
@@ -206,15 +223,16 @@ def dawson_tips(x_i: RatVector, x_j: RatVector) -> bool:
 def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
     """True iff vertex i is NOT a convex combination of the other vertices.
 
-    Homogenized with a trailing 1, that asks whether (r_i, 1) is a
-    nonnegative combination of the columns (r_j, 1), j != i (the weights
-    then sum to 1), which the exact phase-I simplex
-    ``ratcore.nonneg_combination_exists`` decides.
+    Homogenized on the kernel's cleared rows R_j = L * r_j, that asks
+    whether (R_i, L) is a nonnegative combination of the integer columns
+    (R_j, L), j != i (the weights then sum to 1), which the exact phase-I
+    simplex ``ratcore.nonneg_combination_exists`` decides.
     """
     if not 0 <= i < cfg.V:
         raise IndexError(f"vertex index {i} out of range")
-    columns = [[*v, 1] for j, v in enumerate(cfg.vertices) if j != i]
-    return not nonneg_combination_exists(columns, [*cfg.vertices[i], 1])
+    rows, L = _cleared(cfg.vertices)
+    columns = [[*R, L] for j, R in enumerate(rows) if j != i]
+    return not nonneg_combination_exists(columns, [*rows[i], L])
 
 
 def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig]:
@@ -226,7 +244,10 @@ def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig
     if isinstance(source, dict):
         doc = source
     else:
-        doc = json.loads(Path(source).read_text())
+        try:
+            doc = json.loads(Path(source).read_text())
+        except RecursionError:
+            raise ValueError("JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("configuration document must be a JSON object")
     d = doc.get("d")

@@ -250,6 +250,68 @@ def test_count_rejects_non_numeric_coordinates(tmp_path, capsys, bad):
     assert err.startswith("error:") and repr(bad) in err
 
 
+# Golden outputs, recorded before the integer shadow kernel replaced the
+# Fraction sign loop.  MIXED has a degenerate contact (vertex 1 and vertex 2,
+# (r_1 - r_2).r_1 = 0) and a doubly shadowed row; as face vectors it has a
+# degenerate contact (face 2 with face 1) next to a shadowing.  TIED has
+# equal squared norms, so the genericity warning fires, and a point inside
+# the hull of the others.
+MIXED = [["1", "0", "0"], ["1", "1", "0"], ["-2", "-1", "0"], ["0", "0", "5"],
+         ["1/2", "1/3", "-1/6"], ["-3/2", "2", "1/4"]]
+TIED = [[2, 0, 0], [0, 2, 0], [1, 1, 0], [-1, -1, -1], ["1/3", "-2/3", "0"],
+        ["-2", "0", "0"]]
+GENERICITY_WARNING = ("warning: squared vertex norms are not pairwise distinct; "
+                      "degenerate contacts possible\n")
+
+
+@pytest.mark.parametrize("coords, kind, flags, stdout, stderr", [
+    (MIXED, "vertices", [],
+     "U = 4\n"
+     "vertex 1: degenerate contact with vertex 2\n"
+     "vertex 2: equilibrium\n"
+     "vertex 3: equilibrium\n"
+     "vertex 4: equilibrium\n"
+     "vertex 5: shadowed by vertex 1, 2\n"
+     "vertex 6: equilibrium\n", ""),
+    (MIXED, "faces", ["--faces"],
+     "S = 4\n"
+     "face 1: shadowed by face 5\n"
+     "face 2: shadowed by face 5; degenerate contact with face 1\n"
+     "face 3: equilibrium\n"
+     "face 4: equilibrium\n"
+     "face 5: equilibrium\n"
+     "face 6: equilibrium\n", ""),
+    (TIED, "vertices", [],
+     "U = 4\n"
+     "vertex 1: equilibrium\n"
+     "vertex 2: equilibrium\n"
+     "vertex 3: degenerate contact with vertex 1, 2\n"
+     "vertex 4: equilibrium\n"
+     "vertex 5: shadowed by vertex 1\n"
+     "vertex 6: equilibrium\n", GENERICITY_WARNING),
+], ids=["vertices", "faces", "tied-vertices"])
+def test_count_golden_output(tmp_path, capsys, coords, kind, flags, stdout, stderr):
+    cfg = write_json(tmp_path, {"d": 3, "kind": kind, "coords": coords})
+    code, out, err = run(capsys, "count", "--input", cfg, *flags)
+    assert code == 0
+    assert out == stdout
+    assert err == stderr
+
+
+def deep_json(tmp_path, depth=100_000):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    return str(path)
+
+
+def test_count_rejects_deeply_nested_json(tmp_path, capsys):
+    code, out, err = run(capsys, "count", "--input", deep_json(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- systems
 
 
@@ -309,6 +371,37 @@ def test_check_hull_rejects_non_numeric_coordinates(tmp_path, capsys, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and repr(bad) in err
+
+
+@pytest.mark.parametrize("coords, code, stdout", [
+    (MIXED, 0,
+     "vertex 1: hull vertex\n"
+     "vertex 2: hull vertex\n"
+     "vertex 3: hull vertex\n"
+     "vertex 4: hull vertex\n"
+     "vertex 5: hull vertex\n"
+     "vertex 6: hull vertex\n"
+     "6/6 points are hull vertices\n"),
+    (TIED, 1,
+     "vertex 1: hull vertex\n"
+     "vertex 2: hull vertex\n"
+     "vertex 3: NOT a hull vertex (convex combination of the others)\n"
+     "vertex 4: hull vertex\n"
+     "vertex 5: hull vertex\n"
+     "vertex 6: hull vertex\n"
+     "5/6 points are hull vertices\n"),
+], ids=["mixed", "tied"])
+def test_check_hull_golden_output(tmp_path, capsys, coords, code, stdout):
+    cfg = write_json(tmp_path, {"d": 3, "kind": "vertices", "coords": coords})
+    assert run(capsys, "check-hull", "--input", cfg) == (code, stdout, "")
+
+
+def test_check_hull_rejects_deeply_nested_json(tmp_path, capsys):
+    code, out, err = run(capsys, "check-hull", "--input", deep_json(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- misc

@@ -184,6 +184,50 @@ def test_face_shadow_implies_larger_norm():
                     assert qcfg.faces[j].norm_sq() < qcfg.faces[i].norm_sq()
 
 
+def _definition_sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_shadow_matrices_match_the_definition():
+    """Both sign matrices against a direct Fraction loop over the definitions
+    (r_i - r_j).r_i and (q_j - q_i).q_j, in d = 2, 3, 4, with coordinates
+    p/q, |p| <= 3, q <= 3, so that degenerate (zero) entries occur and the
+    denominators differ between points."""
+    rng = random.Random(6)
+    zeros = signs = 0
+    for _ in range(300):
+        d = rng.choice((2, 3, 4))
+        n = rng.randint(2, 7)
+        pts = []
+        while len(pts) < n:
+            p = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+            if any(p):
+                pts.append(p)
+        vertex_ref = [
+            [0 if i == j else _definition_sign(sum((a - b) * a for a, b in zip(ri, rj)))
+             for j, rj in enumerate(pts)]
+            for i, ri in enumerate(pts)
+        ]
+        face_ref = [
+            [0 if i == j else _definition_sign(sum((b - a) * b for a, b in zip(qi, qj)))
+             for j, qj in enumerate(pts)]
+            for i, qi in enumerate(pts)
+        ]
+        vcfg, fcfg = PointConfig(pts, d=d), FaceConfig(pts, d=d)
+        assert [list(row) for row in vertex_shadow_matrix(vcfg).entries] == vertex_ref
+        assert [list(row) for row in face_shadow_matrix(fcfg).entries] == face_ref
+        full = [[i for i, row in enumerate(ref) if all(v == 1 for j, v in enumerate(row)
+                                                       if j != i)]
+                for ref in (vertex_ref, face_ref)]
+        assert unstable_vertices(vcfg) == full[0] and count_unstable(vcfg) == len(full[0])
+        assert stable_faces(fcfg) == full[1] and count_stable(fcfg) == len(full[1])
+        norms = [sum(a * a for a in p) for p in pts]
+        assert vcfg.is_generic == (len(set(norms)) == n)
+        zeros += sum(row.count(0) - 1 for row in vertex_ref)
+        signs += sum(row.count(-1) for row in vertex_ref)
+    assert zeros > 0 and signs > 0
+
+
 def test_simplex_rejects_flat():
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSimplex):
