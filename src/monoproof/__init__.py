@@ -1,10 +1,11 @@
 """Static equilibria of convex polytopes and exact infeasibility certificates.
 
 Counts unstable (vertex) and stable (face) equilibria through shadowing
-matrices, expands the mono-unstable condition for 3-dimensional 0-skeletons
-into systems of quadratic inequalities, and proves those systems unsolvable
-by searching for positive integer coefficients whose weighted inequality sum
-is strictly convex with a strictly positive exact-rational minimum.
+matrices, expands the mono-unstable condition for 0-skeletons into systems
+of quadratic inequalities, and proves those systems unsolvable in every
+dimension by searching for positive integer coefficients whose weighted
+inequality sum is strictly convex with a strictly positive exact-rational
+minimum.
 """
 
 from monoproof.ratcore import (
@@ -44,19 +45,15 @@ from monoproof.expansion import (
     inequality_form,
     inequality_forms,
     reconstruct_vertices,
-    var_index,
     weighted_inequality_sum,
 )
 from monoproof.prover import (
     Certificate,
     Exhausted,
-    NotConvex,
     ProofReport,
     SearchConfig,
     SystemResult,
     VerifyResult,
-    hessian_of,
-    minimize_strictly_convex,
     prove_unsolvable,
     search_certificate,
     verify_certificate,

@@ -27,7 +27,7 @@ from monoproof.equilibria import (
     load_config,
     vertex_shadow_matrix,
 )
-from monoproof.expansion import enumerate_systems, free_var_count
+from monoproof.expansion import enumerate_systems
 from monoproof.prover import SearchConfig, prove_unsolvable, verify_certificate
 from monoproof.ratcore import format_rational
 from monoproof.tables import (
@@ -201,9 +201,13 @@ def cmd_count(ns: argparse.Namespace) -> int:
 def cmd_systems(ns: argparse.Namespace) -> int:
     if ns.vertices < 3:
         return _fail_usage("--vertices must be at least 3")
-    count = math.factorial(ns.vertices - 1)
+    try:
+        count = str(math.factorial(ns.vertices - 1))
+    except ValueError:  # more digits than int-to-str conversion allows
+        return _fail_usage(f"--vertices {ns.vertices}: the system count "
+                           f"{ns.vertices - 1}! has too many digits to print")
     print(f"V = {ns.vertices}: {count} shadowing systems, "
-          f"{free_var_count(ns.vertices)} free variables each")
+          f"{ns.vertices - 2} free variables each")
     if ns.list:
         for system in enumerate_systems(ns.vertices):
             j = ",".join(str(v) for v in system.j)

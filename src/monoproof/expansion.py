@@ -1,30 +1,34 @@
-"""Shadowing systems for 3-dimensional 0-skeletons and their quadratic forms.
+"""Shadowing systems for 0-skeletons and their quadratic forms.
 
 A mono-unstable 0-skeleton with V vertices would have to satisfy one of
 (V-1)! "shadowing systems": for each vertex i = 2..V pick some earlier
-vertex j(i) < i that shadows it.  After fixing the similarity frame
-(r_1 = (1,0,0), r_23 = 0) and eliminating the last vertex through the
-balance equations sum_i r_i = 0, each inequality becomes
+vertex j(i) < i that shadows it, that is
 
-    Q_i(x) = sum_k r_ik^2 - sum_k r_ik r_j(i)k <= 0
+    Q_i(r) = |r_i|^2 - r_i . r_j(i) <= 0
 
-over the n = 3V-7 free coordinates x.  Q_i applies one quadratic to each
-axis k, so sum_i c_i Q_i = g_c(axis 1) + g_c(axis 2) + g_c(axis 3) for the
-(V-1)-variable form g_c(t) = sum_i c_i (t_i^2 - t_i t_j(i)), where
+for the vertex vectors r_1..r_V, measured from the centroid (sum_i r_i = 0).
+Q_i applies one quadratic to each coordinate axis, so in any dimension d
+
+    sum_i c_i Q_i(r) = g_c(axis 1) + ... + g_c(axis d)
+
+for the (V-1)-variable form g_c(t) = sum_i c_i (t_i^2 - t_i t_j(i)), where
+each axis holds the column t = (r_1k, ..., r_Vk) and the balance gives
 t_V = -(t_1 + ... + t_(V-1)).  weighted_matrix builds the integer matrix
-G(c) of 2 g_c in the order (t_2, ..., t_(V-1), t_1); t_1 = r_11 = 1 makes
-it the form of axis 1 homogenized at z = (x, 1).  Let G_h be G without t_1.
+G(c) of 2 g_c in the order (t_2, ..., t_(V-1), t_1), and G_h is G without
+t_1.  If all V-1 leading minors of G(c) are positive, g_c is positive
+definite on {sum t = 0}; its minimum at t_1 = 1 is d_(V-1) / (2 d_(V-2))
+over the leading minors d_k, so by homogeneity
 
-- The Hessian of the sum is block-diagonal: G_h on axes 1 and 2 and a
-  principal submatrix of G_h on axis 3, so it is PD exactly when G_h is.
-- The linear part and the constant sit on axis 1 only, so the minimizer is
-  zero on axes 2 and 3 and the minimum is d_(V-1) / (2 d_(V-2)) over the
-  leading minors d_k of G.
-- So c is a certificate exactly when all V-1 leading minors of G(c) are
-  positive.
+    sum_i c_i Q_i(r) >= d_(V-1) / (2 d_(V-2)) * |r_1|^2,
 
-QuadraticForm is the exact-rational view over all 3V-7 coordinates, with G
-placed in the three axis blocks.
+with equality when axis 1 holds the minimizer and every other axis is 0.
+The sum is then positive at every configuration but r = 0, so the
+inequalities Q_i <= 0 cannot all hold and the system has no solution in any
+dimension.  The 3-dimensional frame of the paper adds nothing to this
+test, so everything here lives on one axis.
+
+QuadraticForm is the exact-rational view of g_c over the V-2 free
+coordinates x = (t_2, ..., t_(V-1)) of that axis at t_1 = 1.
 """
 
 from __future__ import annotations
@@ -102,24 +106,6 @@ def enumerate_systems(V: int) -> Iterator[ShadowSystem]:
         yield ShadowSystem.from_choices(V, choices)
 
 
-def var_index(i: int, k: int, V: int) -> int:
-    """Flat index of the free coordinate r_ik: (2,1), (2,2), then row-major
-    triples for i = 3..V-1.  Fixed and eliminated coordinates are rejected."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"coordinate k = {k} out of range 1..3")
-    if i == 1 or (i == 2 and k == 3):
-        raise ValueError(f"r_{i},{k} is a fixed coordinate, not a free variable")
-    if i >= V:
-        raise ValueError(f"r_{i},{k} is eliminated by the balance equations")
-    if i == 2:
-        return k - 1
-    return 2 + 3 * (i - 3) + (k - 1)
-
-
-def free_var_count(V: int) -> int:
-    return 3 * V - 7
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
     """f(x) = x^T A x + b.x + c0 with A symmetric; the Hessian 2A is constant."""
@@ -162,30 +148,22 @@ def _axis_matrix(system: ShadowSystem, weights: Sequence[int]) -> list[list[int]
     return m
 
 
-def _quadratic_form(V: int, g: list[list[int]]) -> QuadraticForm:
-    """The QuadraticForm over the 3V-7 free coordinates of an axis matrix G:
-    axis 1 homogenized at t_1 = 1, axes 2 and 3 with their fixed coordinates
-    (t_1 = 0, and t_2 = 0 on axis 3) dropped."""
-    n, h = free_var_count(V), V - 2
-    A = [[Fraction(0)] * n for _ in range(n)]
-    b = [0] * n
-    for k in (1, 2, 3):
-        free = [(i - 2, var_index(i, k, V)) for i in range(2, V) if (i, k) != (2, 3)]
-        for r, x in free:
-            for c, y in free:
-                A[x][y] = Fraction(g[min(r, c)][abs(c - r)], 2)
-            if k == 1:
-                b[x] = g[r][h - r]
+def _quadratic_form(g: list[list[int]]) -> QuadraticForm:
+    """The QuadraticForm over x = (t_2, ..., t_(V-1)) of an axis matrix G at
+    t_1 = 1: A = G_h / 2, b = the last column of G and c0 = its corner / 2."""
+    h = len(g) - 1
+    A = [[Fraction(g[min(r, c)][abs(c - r)], 2) for c in range(h)] for r in range(h)]
+    b = [g[r][h - r] for r in range(h)]
     return QuadraticForm(RatMatrix(A, symmetric=True), RatVector(b), Fraction(g[h][0], 2))
 
 
 def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:
     """The left-hand side Q_i of 'vertex i is shadowed by vertex j(i)',
-    expanded over the free coordinates; the inequality is Q_i(x) <= 0."""
+    on axis 1 over x; the inequality is Q_i <= 0."""
     if not 2 <= i <= system.V:
         raise ValueError(f"vertex index {i} out of range 2..{system.V}")
     unit = [int(l == i) for l in range(2, system.V + 1)]
-    return _quadratic_form(system.V, _axis_matrix(system, unit))
+    return _quadratic_form(_axis_matrix(system, unit))
 
 
 def inequality_forms(system: ShadowSystem) -> list[QuadraticForm]:
@@ -208,7 +186,7 @@ def weighted_matrix(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[in
     module docstring), as packed upper-triangle rows, the layout
     ratcore.symmetric_bareiss eliminates.
 
-    Its leading block G_h is the axis-1 Hessian of the weighted sum, its
+    Its leading block G_h is the Hessian of the weighted sum over x, its
     last column the linear part and its corner twice the constant.
     """
     _check_coefficients(system, coeffs)
@@ -216,29 +194,25 @@ def weighted_matrix(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[in
 
 
 def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> QuadraticForm:
-    """sum_i c_i * Q_i for positive integer weights c_2..c_V.
+    """sum_i c_i * Q_i on axis 1 over x, for positive integer weights c_2..c_V.
 
     If some choice of weights makes this form strictly convex with a
     strictly positive minimum, the shadowing system has no solution: any
     solution would make every Q_i <= 0 and hence the sum nonpositive.
     """
-    return _quadratic_form(system.V, weighted_matrix(system, coeffs))
+    return _quadratic_form(weighted_matrix(system, coeffs))
 
 
-def scaled_vertices(V: int, x: Sequence, scale) -> list[list]:
-    """scale * r_1 .. scale * r_V from x = scale * (free coordinates), read
-    straight from the variable layout: r_1 = (1, 0, 0), r_2 = (x_0, x_1, 0),
-    r_i = (x_(3i-7), x_(3i-6), x_(3i-5)) for 2 < i < V, and the balance
-    r_V = -(r_1 + ... + r_(V-1)).  Shares no code with the forms above."""
-    rows = [[scale, 0, 0], [x[0], x[1], 0]]
-    rows += [list(x[3 * i - 7 : 3 * i - 4]) for i in range(3, V)]
-    rows.append([-sum(r[k] for r in rows) for k in range(3)])
-    return rows
+def scaled_vertices(x: Sequence, scale) -> list:
+    """scale * t_1 .. scale * t_V from x = scale * (t_2, ..., t_(V-1)) at
+    t_1 = 1, with the balance t_V = -(t_1 + ... + t_(V-1)).  Shares no code
+    with the forms above."""
+    return [scale, *x, -scale - sum(x)]
 
 
 def reconstruct_vertices(V: int, x: RatVector) -> list[RatVector]:
-    """Full vertex vectors r_1..r_V encoded by a free-coordinate vector:
-    the fixed frame, the variables, and the balance-eliminated last vertex."""
-    if len(x) != free_var_count(V):
-        raise ValueError(f"expected {free_var_count(V)} coordinates, got {len(x)}")
-    return [RatVector(r) for r in scaled_vertices(V, x.entries, Fraction(1))]
+    """The one-dimensional vertices t_1..t_V encoded by x = (t_2, ..., t_(V-1)):
+    t_1 = 1, the free coordinates, and the balance-eliminated t_V."""
+    if len(x) != V - 2:
+        raise ValueError(f"expected {V - 2} coordinates, got {len(x)}")
+    return [RatVector([t]) for t in scaled_vertices(x.entries, Fraction(1))]

@@ -7,19 +7,21 @@ solution of the system would make f nonpositive, so a certificate proves
 unsolvability.
 
 Every check runs on the (V-1) x (V-1) integer matrix G(c) of one axis (see
-expansion).  f applies one form to each axis, its Hessian is G_h (G without
-the homogenizing t_1) on two axes and a principal submatrix of G_h on the
-third, and its linear part and constant sit on axis 1 alone.  So c is a
-certificate exactly when all V-1 leading minors d_1..d_(V-1) of G(c) are
-positive, and the minimum of f is d_(V-1) / (2 d_(V-2)).  One pass of
+expansion).  c is a certificate exactly when all V-1 leading minors
+d_1..d_(V-1) of G(c) are positive.  Then the one-axis form g_c is positive
+definite on {sum t = 0} with minimum d_(V-1) / (2 d_(V-2)) at t_1 = 1, and
+since f is g_c summed over the coordinate axes, f >= that minimum times
+|r_1|^2 in every dimension: the certificate refutes its system for
+0-skeletons in R^d for all d, not only in R^3.  One pass of
 ratcore.symmetric_bareiss yields those minors.  A trial that fails at a
 minor k <= V-2 has a Hessian that is not positive definite; one that fails
-only at d_(V-1) has a nonpositive minimum.  The minimizer is computed only
-for accepted weights, by fraction-free back substitution on axis 1, and is
-zero on axes 2 and 3; Fractions appear only in the returned values.
-verify_certificate then audits the result on the geometry itself: it
-rebuilds the scaled vertices from the minimizer and checks the value and the
-zero gradient of f over all 3V-7 free coordinates in integers.
+only at d_(V-1) has a nonpositive minimum.  The minimizer, the V-2 free
+coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, is computed only for
+accepted weights, by fraction-free back substitution; Fractions appear only
+in the returned values.  verify_certificate then audits the result on the
+geometry itself: it rebuilds the scaled vertices t_1..t_V from the
+minimizer and checks the value and the zero gradient of
+sum_i c_i (t_i^2 - t_i t_j(i)) over x in integers.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister);
@@ -29,7 +31,6 @@ so reports are reproducible for a fixed seed and independent of worker count.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import time
@@ -38,61 +39,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from monoproof.ratcore import (
-    RatMatrix,
-    RatVector,
-    homogeneous_solution,
-    symmetric_bareiss,
-)
+from monoproof.ratcore import RatVector, homogeneous_solution, symmetric_bareiss
 from monoproof.expansion import (
-    QuadraticForm,
     ShadowSystem,
     enumerate_systems,
-    free_var_count,
     scaled_vertices,
-    var_index,
     weighted_matrix,
 )
 
 _SEED_MASK = (1 << 64) - 1
-
-
-class NotConvex(ValueError):
-    """Raised when a minimization is attempted on a non-PD Hessian."""
-
-
-def hessian_of(form: QuadraticForm) -> RatMatrix:
-    """The constant Hessian 2A of f(x) = x^T A x + b.x + c0."""
-    return form.A.scale(2)
-
-
-def minimize_strictly_convex(form: QuadraticForm) -> tuple[RatVector, Fraction]:
-    """Exact global minimizer and minimum of a strictly convex quadratic.
-
-    Eliminates the homogenized matrix [[2A, b], [b^T, 2c0]], cleared of
-    denominators, in one symmetric Bareiss pass.  Raises NotConvex when the
-    Hessian 2A is not positive definite.
-    """
-    n = form.n
-    rows = [[2 * e for e in form.A[r][r:]] + [form.b[r]] for r in range(n)]
-    rows.append([2 * form.c0])
-    scale = math.lcm(*(e.denominator for row in rows for e in row))
-    m = [[int(e * scale) for e in row] for row in rows]
-    if symmetric_bareiss(m) < n:
-        raise NotConvex("Hessian is not positive definite")
-    X, D = homogeneous_solution(m)
-    return RatVector(Fraction(x, D) for x in X), Fraction(m[-1][0], 2 * scale * D)
-
-
-def _axis1_point(V: int, m: list[list[int]]) -> tuple[list[int], int]:
-    """(X, D) from an eliminated G(c) whose first V-2 leading minors are
-    positive: D = d_(V-2) and X = D x, the minimizer in the 3V-7 layout,
-    solved on axis 1 and zero on axes 2 and 3."""
-    T, D = homogeneous_solution(m)
-    X = [0] * free_var_count(V)
-    for i, t in zip(range(2, V), T):
-        X[var_index(i, 1, V)] = t
-    return X, D
 
 
 @dataclass(frozen=True)
@@ -114,7 +69,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class Certificate:
     """Proof that one shadowing system is unsolvable: positive integer
-    coefficients with PD Hessian, exact minimizer, and positive minimum."""
+    coefficients with PD Hessian, exact minimizer x = (t_2, ..., t_(V-1)) at
+    t_1 = 1, and positive minimum."""
 
     system: ShadowSystem
     coeffs: tuple[int, ...]
@@ -149,25 +105,23 @@ class VerifyResult:
 def _audit(system: ShadowSystem, coeffs: Sequence[int], X: list[int], D: int, d_last: int) -> None:
     """Check a minimizer on the geometry, apart from the axis matrix.
 
-    With R_i = D r_i rebuilt from X = D x by the variable layout alone,
-    F = sum_i c_i (|r_i|^2 - r_i.r_j(i)) must equal the minimum
-    d_last / (2 D), that is 2 sum_i c_i (|R_i|^2 - R_i.R_j(i)) = D d_last,
-    and its gradient over the free coordinates must vanish:
-    dF/dr_ik = dF/dr_Vk for every free (i, k), as r_V = -(r_1 + ... + r_(V-1)).
+    With T_i = D t_i rebuilt from X = D x by scaled_vertices alone,
+    g = sum_i c_i (t_i^2 - t_i t_j(i)) must equal the minimum d_last / (2 D),
+    that is 2 sum_i c_i (T_i^2 - T_i T_j(i)) = D d_last, and its gradient
+    over x must vanish: dg/dt_i = dg/dt_V for i = 2..V-1, as
+    t_V = -(t_1 + ... + t_(V-1)).
     """
     V = system.V
-    R = scaled_vertices(V, X, D)
-    grad = [[0, 0, 0] for _ in range(V)]
+    T = scaled_vertices(X, D)
+    grad = [0] * V
     value = 0
     for i, c in zip(range(2, V + 1), coeffs):
         j = system.j[i - 2]
-        ri, rj = R[i - 1], R[j - 1]
-        value += c * sum(a * a - a * b for a, b in zip(ri, rj))
-        for k in range(3):
-            grad[i - 1][k] += c * (2 * ri[k] - rj[k])
-            grad[j - 1][k] -= c * ri[k]
-    free = [(2, 0), (2, 1)] + [(i, k) for i in range(3, V) for k in range(3)]
-    if 2 * value != D * d_last or any(grad[i - 1][k] != grad[V - 1][k] for i, k in free):
+        ti, tj = T[i - 1], T[j - 1]
+        value += c * (ti * ti - ti * tj)
+        grad[i - 1] += c * (2 * ti - tj)
+        grad[j - 1] -= c * ti
+    if 2 * value != D * d_last or any(g != grad[V - 1] for g in grad[1 : V - 1]):
         raise RuntimeError(
             f"internal error: certificate for system {system.system_id} failed the "
             "geometric audit of its minimum and minimizer"
@@ -185,7 +139,7 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     m = weighted_matrix(system, coeffs)
     if symmetric_bareiss(m) < V - 2:
         return VerifyResult(hessian_pd=False, min_value=None, positive=False)
-    X, D = _axis1_point(V, m)
+    X, D = homogeneous_solution(m)
     d_last = m[-1][0]
     _audit(system, coeffs, X, D, d_last)
     return VerifyResult(
@@ -217,7 +171,7 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
         elif positive_minors == n:
             negative += 1
         else:
-            X, D = _axis1_point(system.V, m)
+            X, D = homogeneous_solution(m)
             return Certificate(
                 system=system,
                 coeffs=coeffs,

@@ -160,10 +160,6 @@ class RatMatrix:
             sum((a * b for a, b in zip(row, x.entries)), Fraction(0)) for row in self.entries
         )
 
-    def scale(self, factor: RationalLike) -> "RatMatrix":
-        f = as_rational(factor)
-        return RatMatrix([[f * e for e in row] for row in self.entries], symmetric=self.symmetric)
-
     def is_symmetric(self) -> bool:
         return all(
             self.entries[i][j] == self.entries[j][i] for i in range(self.n) for j in range(i)

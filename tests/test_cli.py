@@ -318,14 +318,25 @@ def test_count_rejects_deeply_nested_json(tmp_path, capsys):
 def test_systems_summary(capsys):
     code, out, _ = run(capsys, "systems", "--vertices", "5")
     assert code == 0
-    assert out.strip() == "V = 5: 24 shadowing systems, 8 free variables each"
+    assert out.strip() == "V = 5: 24 shadowing systems, 3 free variables each"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length to str")
+def test_systems_rejects_a_count_too_long_to_print(capsys):
+    # 1999! has more digits than Python converts from int to str by default
+    code, out, err = run(capsys, "systems", "--vertices", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1999!" in err
+    assert "Traceback" not in err
 
 
 def test_systems_listing(capsys):
     code, out, _ = run(capsys, "systems", "--vertices", "4", "--list")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "V = 4: 6 shadowing systems, 5 free variables each"
+    assert lines[0] == "V = 4: 6 shadowing systems, 2 free variables each"
     assert lines[1] == "#0 j=(1,1,1)"
     assert lines[-1] == "#5 j=(1,2,3)"
     assert len(lines) == 1 + 6

@@ -10,11 +10,10 @@ from monoproof.expansion import (
     QuadraticForm,
     ShadowSystem,
     enumerate_systems,
-    free_var_count,
     inequality_form,
     inequality_forms,
     reconstruct_vertices,
-    var_index,
+    scaled_vertices,
     weighted_inequality_sum,
     weighted_matrix,
 )
@@ -65,52 +64,43 @@ def test_system_id_mixed_radix():
     assert ShadowSystem(7, (1, 2, 3, 4, 5, 6)).system_id == math.factorial(6) - 1
 
 
-def test_var_index_layout():
-    assert var_index(2, 1, 5) == 0
-    assert var_index(2, 2, 5) == 1
-    assert var_index(3, 1, 5) == 2
-    assert var_index(3, 3, 5) == 4
-    assert var_index(4, 3, 5) == 7
-    assert free_var_count(5) == 8
-    # the mapping is a bijection onto 0..n-1
-    for V in (4, 5, 6, 7, 8):
-        idxs = [var_index(2, 1, V), var_index(2, 2, V)] + [
-            var_index(i, k, V) for i in range(3, V) for k in (1, 2, 3)
-        ]
-        assert sorted(idxs) == list(range(free_var_count(V)))
-
-
-@pytest.mark.parametrize("i,k", [(1, 1), (2, 3), (5, 1), (6, 2), (3, 4), (3, 0)])
-def test_var_index_rejects(i, k):
-    with pytest.raises(ValueError):
-        var_index(i, k, 5)
+def test_scaled_vertices_layout():
+    # x = (t_2, ..., t_(V-1)) at t_1 = 1, scaled by D, and t_V from the balance
+    assert scaled_vertices([3, -1, 4], 2) == [2, 3, -1, 4, -8]
+    assert scaled_vertices([5], 1) == [1, 5, -6]
+    assert scaled_vertices([Fraction(1, 2), 0], Fraction(1)) == [
+        1, Fraction(1, 2), 0, Fraction(-3, 2)]
 
 
 def test_reconstruction_frame_and_balance():
     rng = random.Random(17)
     for V in (4, 5, 6, 7):
-        x = rand_point(rng, free_var_count(V))
+        x = rand_point(rng, V - 2)
         rs = reconstruct_vertices(V, x)
         assert len(rs) == V
-        assert rs[0] == RatVector([1, 0, 0])
-        assert rs[1][2] == 0
+        assert all(len(r) == 1 for r in rs)
+        assert rs[0] == RatVector([1])
+        assert [r[0] for r in rs[1:-1]] == list(x)
         total = rs[0]
         for r in rs[1:]:
             total = total + r
         assert total.is_zero()
+        for wrong in (V - 3, V - 1, 3 * V - 7):
+            with pytest.raises(ValueError):
+                reconstruct_vertices(V, rand_point(rng, wrong))
 
 
 def test_forms_match_reconstructed_geometry():
     """Q_i evaluated through the expanded quadratic form must equal the
     shadowing expression |r_i|^2 - r_i.r_j(i) computed directly from the
-    reconstructed vertex vectors.  This ties the algebra to the geometry
+    reconstructed one-axis vertices.  This ties the algebra to the geometry
     without sharing any code path."""
     rng = random.Random(23)
     for V in (4, 5, 6):
         for _ in range(8):
             choices = tuple(rng.randint(1, i - 1) for i in range(3, V + 1))
             system = ShadowSystem.from_choices(V, choices)
-            x = rand_point(rng, free_var_count(V))
+            x = rand_point(rng, V - 2)
             rs = reconstruct_vertices(V, x)
             for i in range(2, V + 1):
                 form = inequality_form(system, i)
@@ -135,7 +125,7 @@ def test_constant_terms():
 
 def test_form_shapes_and_hessian_integrality():
     system = ShadowSystem.from_choices(6, (2, 3, 1, 4))
-    n = free_var_count(6)
+    n = 6 - 2
     for form in inequality_forms(system):
         assert form.n == n
         assert form.A.is_symmetric()
@@ -193,34 +183,24 @@ def test_quadratic_form_validation():
 
 def test_forms_against_symbolic_oracle():
     """Independent check: rebuild f for a sampled system with sympy from the
-    raw shadowing definition and compare values at random points."""
+    raw shadowing definition on one axis, t_1 = 1 and the balance
+    t_V = -(t_1 + ... + t_(V-1)), and compare values at random points."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1234)
     V = 5
     system = ShadowSystem.from_choices(V, (2, 3, 1))
     coeffs = (7, 3, 11, 2)
 
-    syms = {(1, 1): sympy.Integer(1), (1, 2): sympy.Integer(0),
-            (1, 3): sympy.Integer(0), (2, 3): sympy.Integer(0)}
-    order = []
-    for i in range(2, V):
-        for k in (1, 2, 3):
-            if (i, k) not in syms:
-                var = sympy.Symbol(f"r_{i}_{k}")
-                syms[(i, k)] = var
-                order.append(var)
-    for k in (1, 2, 3):
-        syms[(V, k)] = -sum(syms[(l, k)] for l in range(1, V))
+    order = [sympy.Symbol(f"t_{i}") for i in range(2, V)]
+    t = [sympy.Integer(1), *order]
+    t.append(-sum(t))
 
     def q(i):
-        return sum(syms[(i, k)] ** 2 for k in (1, 2, 3)) - sum(
-            syms[(i, k)] * syms[(system.j_of(i), k)] for k in (1, 2, 3)
-        )
+        return t[i - 1] ** 2 - t[i - 1] * t[system.j_of(i) - 1]
 
     f_sym = sum(c * q(i) for c, i in zip(coeffs, range(2, V + 1)))
     f = weighted_inequality_sum(system, coeffs)
-    assert [var_index(i, k, V) for i in range(2, V) for k in (1, 2, 3)
-            if not (i == 2 and k == 3)] == list(range(len(order)))
+    assert f.n == len(order)
     for _ in range(12):
         x = rand_point(rng, f.n)
         subs = {var: sympy.Rational(val.numerator, val.denominator)

@@ -9,22 +9,16 @@ import pytest
 
 from monoproof import expansion, prover
 from monoproof.expansion import (
-    QuadraticForm,
     ShadowSystem,
     enumerate_systems,
-    free_var_count,
     inequality_forms,
     reconstruct_vertices,
-    var_index,
     weighted_inequality_sum,
 )
 from monoproof.prover import (
     Certificate,
     Exhausted,
-    NotConvex,
     SearchConfig,
-    hessian_of,
-    minimize_strictly_convex,
     prove_unsolvable,
     search_certificate,
     verify_certificate,
@@ -41,52 +35,23 @@ KNOWN_ROWS = [
 ]
 
 
-def one_var_form(a, b, c):
-    return QuadraticForm(RatMatrix([[a]], symmetric=True), RatVector([b]), Fraction(c))
-
-
-def test_minimize_parabola():
-    # x^2 - 2x + 2 has its minimum 1 at x = 1
-    x, value = minimize_strictly_convex(one_var_form(1, -2, 2))
-    assert x == RatVector([1])
-    assert value == 1
-
-
-def test_minimize_identity_case():
-    f = QuadraticForm(RatMatrix.identity(2), RatVector([0, 0]), Fraction(0))
-    x, value = minimize_strictly_convex(f)
-    assert x == RatVector([0, 0])
-    assert value == 0
-
-
-def test_minimize_rejects_concave():
-    with pytest.raises(NotConvex):
-        minimize_strictly_convex(one_var_form(-1, 0, 0))
-    indefinite = QuadraticForm(
-        RatMatrix([[1, 0], [0, -1]], symmetric=True), RatVector([0, 0]), Fraction(0)
-    )
-    with pytest.raises(NotConvex):
-        minimize_strictly_convex(indefinite)
-
-
-def test_hessian_is_doubled_quadratic_part():
-    f = QuadraticForm(
-        RatMatrix([[3, Fraction(1, 2)], [Fraction(1, 2), 2]], symmetric=True),
-        RatVector([1, 1]),
-        Fraction(0),
-    )
-    h = hessian_of(f)
-    assert h[0] == (6, 1)
-    assert h[1] == (1, 4)
+def doubled(matrix: RatMatrix) -> RatMatrix:
+    """The Hessian 2A of a quadratic part A."""
+    return RatMatrix([[2 * e for e in row] for row in matrix.entries], symmetric=True)
 
 
 def test_minimizer_has_zero_gradient():
+    """verify_certificate's minimizer x solves 2A x + b = 0 for the weighted
+    sum f(x) = x^T A x + b.x + c0 over x = (t_2, ..., t_(V-1)), and f there
+    is the reported minimum."""
     rng = random.Random(3)
-    for V, choices, coeffs, _ in KNOWN_ROWS[:2]:
+    for V, choices, coeffs, expected in KNOWN_ROWS:
         system = ShadowSystem.from_choices(V, choices)
         f = weighted_inequality_sum(system, coeffs)
-        x, value = minimize_strictly_convex(f)
-        gradient = hessian_of(f).matvec(x) + f.b
+        check = verify_certificate(V, system, coeffs)
+        x, value = check.minimizer, check.min_value
+        assert len(x) == V - 2 and value == expected
+        gradient = doubled(f.A).matvec(x) + f.b
         assert gradient.is_zero()
         assert f.evaluate(x) == value
         # every other point sits strictly above the minimum
@@ -156,6 +121,46 @@ def test_certificate_refutes_all_points():
         assert max(q.evaluate(x) for q in forms) > 0
 
 
+def test_certificate_refutes_its_system_in_every_dimension():
+    """The dimension-free step.  For r_1..r_V in R^d with sum_i r_i = 0,
+    F(r) = sum_i c_i (|r_i|^2 - r_i.r_j(i)) is the one-axis form g_c summed
+    over the d coordinate axes, so a certificate with minimum m (at t_1 = 1)
+    gives F(r) >= m |r_1|^2, with equality when axis 1 holds the
+    certificate's t and every other axis is 0 (or a multiple of t).  Cases:
+    every 10th bundled row per V, seeded rational configurations in
+    d = 1..4, random and near the equality point."""
+    rng = random.Random(59)
+
+    def rational(span, den):
+        return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+    def centred(points):
+        return points + [[-sum(col) for col in zip(*points)]]
+
+    for V in (4, 5, 6, 7):
+        for row in parse_certificate_table(bundled_table_path(V)).rows[::10]:
+            system, coeffs = row.system, row.coeffs
+            check = verify_certificate(V, system, coeffs)
+            assert check.hessian_pd and check.positive
+            m = check.min_value
+            t = [r[0] for r in reconstruct_vertices(V, check.minimizer)]
+
+            def F(rs):
+                return sum(c * sum(a * a - a * b
+                                   for a, b in zip(rs[i - 1], rs[system.j_of(i) - 1]))
+                           for i, c in zip(range(2, V + 1), coeffs))
+
+            for d in range(1, 5):
+                assert F([[ti] + [0] * (d - 1) for ti in t]) == m
+                scales = [rational(5, 3) for _ in range(d)]
+                assert F([[s * ti for s in scales] for ti in t]) == m * sum(s * s for s in scales)
+                for _ in range(3):
+                    rs = centred([[rational(20, 9) for _ in range(d)] for _ in range(V - 1)])
+                    assert F(rs) >= m * sum(a * a for a in rs[0])
+                    near = centred([[s * ti + rational(1, 50) for s in scales] for ti in t[:-1]])
+                    assert F(near) >= m * sum(a * a for a in near[0])
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(coeff_min=0)
@@ -207,8 +212,10 @@ def test_search_exhaustion_counters():
 def test_v8_chain_certificate_against_symbolic_oracle():
     """Independent check of the certificate the default search finds for the
     V=8 chain system j(i) = i-1: rebuild sum_i c_i Q_i with sympy from the
-    raw shadowing definition, then check every leading minor of its 17x17
-    Hessian, the zero gradient at the minimizer and the exact minimum."""
+    raw shadowing definition in the 3-dimensional frame r_1 = (1, 0, 0),
+    r_23 = 0, then check every leading minor of its 17x17 Hessian, the zero
+    gradient over all 17 coordinates at the minimizer (placed on axis 1,
+    with axes 2 and 3 zero) and the exact minimum."""
     sympy = pytest.importorskip("sympy")
     V = 8
     system = ShadowSystem(V, (1, 2, 3, 4, 5, 6, 7))
@@ -226,8 +233,6 @@ def test_v8_chain_certificate_against_symbolic_oracle():
                 order.append(var)
     for k in (1, 2, 3):
         syms[(V, k)] = -sum(syms[(l, k)] for l in range(1, V))
-    assert [var_index(i, k, V) for i in range(2, V) for k in (1, 2, 3)
-            if not (i == 2 and k == 3)] == list(range(len(order)))
 
     def q(i):
         return sum(syms[(i, k)] ** 2 for k in (1, 2, 3)) - sum(
@@ -239,9 +244,12 @@ def test_v8_chain_certificate_against_symbolic_oracle():
     assert hess.shape == (17, 17)
     assert all(hess[:k, :k].det() > 0 for k in range(1, 18))
 
+    # the minimizer x = (t_2, ..., t_7) on axis 1; axes 2 and 3 are zero
     check = verify_certificate(V, system, coeffs)
-    subs = {var: sympy.Rational(val.numerator, val.denominator)
-            for var, val in zip(order, check.minimizer)}
+    assert len(check.minimizer) == V - 2
+    subs = {var: sympy.Integer(0) for var in order}
+    for i, val in zip(range(2, V), check.minimizer):
+        subs[syms[(i, 1)]] = sympy.Rational(val.numerator, val.denominator)
     assert all(sympy.diff(f_sym, var).subs(subs) == 0 for var in order)
     value = f_sym.subs(subs)
     assert value == sympy.Rational(expected.numerator, expected.denominator)
@@ -260,11 +268,11 @@ def test_search_respects_coefficient_bounds():
 def test_integer_core_agrees_with_form_path():
     """verify_certificate (the one-axis (V-1) x (V-1) integer matrix, one
     symmetric Bareiss pass, fraction-free back substitution) must agree with
-    the full 3V-7 Fraction path
-    minimize_strictly_convex(weighted_inequality_sum(...)) on the PD flag,
-    the minimum and the minimizer, which the pivoting solver and a direct
-    evaluation confirm.  Cases: every 10th bundled row per V, and seeded
-    random weights at V = 5..7 that include non-PD and negative draws."""
+    the Fraction form f = weighted_inequality_sum(...) solved by the other
+    routines: is_positive_definite(2A) on the PD flag, the pivoting
+    solve_linear(2A, -b) on the minimizer and f.evaluate on the minimum.
+    Cases: every 10th bundled row per V, and seeded random weights at
+    V = 5..7 that include non-PD and negative draws."""
     cases = []
     for V in (4, 5, 6, 7):
         rows = parse_certificate_table(bundled_table_path(V)).rows
@@ -280,31 +288,29 @@ def test_integer_core_agrees_with_form_path():
     for system, coeffs in cases:
         got = verify_certificate(system.V, system, coeffs)
         form = weighted_inequality_sum(system, coeffs)
-        assert got.hessian_pd == is_positive_definite(hessian_of(form))
-        try:
-            x, value = minimize_strictly_convex(form)
-        except NotConvex:
-            assert not got.hessian_pd
+        hessian = doubled(form.A)
+        assert got.hessian_pd == is_positive_definite(hessian)
+        if not got.hessian_pd:
             assert got.min_value is None and got.minimizer is None and not got.positive
             outcomes["non_pd"] += 1
             continue
-        assert got.hessian_pd
+        x = solve_linear(hessian, -form.b)
+        value = form.evaluate(x)
         assert got.minimizer == x
         assert got.min_value == value
         assert got.positive == (value > 0)
-        assert solve_linear(hessian_of(form), -form.b) == x
-        assert form.evaluate(x) == value
         outcomes["positive" if value > 0 else "negative"] += 1
     assert min(outcomes[kind] for kind in ("non_pd", "negative", "positive")) > 0, outcomes
 
 
 def test_pd_flag_against_second_difference_hessian():
     """A positive-definiteness oracle that shares no code with the forms: the
-    full (3V-7) x (3V-7) Hessian of F(x) = sum_i c_i (|r_i|^2 - r_i.r_j(i))
-    from second differences F(e_p + e_q) - F(e_p) - F(e_q) + F(0) on
-    reconstruct_vertices(V, x), exact because F is quadratic.  Cases: every
-    10th bundled row per V, and seeded random weights at V = 5..8 that
-    include non-PD and negative draws."""
+    (V-2) x (V-2) Hessian of F(x) = sum_i c_i (|r_i|^2 - r_i.r_j(i)) over
+    x = (t_2, ..., t_(V-1)) from second differences
+    F(e_p + e_q) - F(e_p) - F(e_q) + F(0) on reconstruct_vertices(V, x),
+    exact because F is quadratic.  Cases: every 10th bundled row per V, and
+    seeded random weights at V = 5..8 that include non-PD and negative
+    draws."""
     cases = []
     for V in (4, 5, 6, 7):
         rows = parse_certificate_table(bundled_table_path(V)).rows
@@ -318,7 +324,7 @@ def test_pd_flag_against_second_difference_hessian():
         cases.append((system, coeffs))
     outcomes = Counter()
     for system, coeffs in cases:
-        V, n = system.V, free_var_count(system.V)
+        V, n = system.V, system.V - 2
 
         def F(x):  # x is integral, so are the vertices
             rs = [[int(e) for e in r] for r in reconstruct_vertices(V, RatVector(x))]
