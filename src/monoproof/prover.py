@@ -27,6 +27,10 @@ The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister);
 each system gets its own stream seeded with (base_seed + system_id) mod 2**64,
 so reports are reproducible for a fixed seed and independent of worker count.
+
+The worker pool (concurrent.futures, and with it multiprocessing) is imported
+only when prove_unsolvable first runs with more than one worker, so that
+importing monoproof for verify, count or a serial prove stays cheap.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -238,6 +241,14 @@ class ProofReport:
             "max_trials": self.max_trials,
             "systems": rows,
         }
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The standard process pool, imported on first use.  prove_unsolvable
+    looks this name up at call time, so it can be replaced on the module."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _search_task(args: tuple[ShadowSystem, SearchConfig]) -> SystemResult:

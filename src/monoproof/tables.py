@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
@@ -28,6 +27,7 @@ from monoproof.ratcore import format_rational, parse_rational
 PathLike = Union[str, Path]
 
 BUNDLED_VERTEX_COUNTS = (4, 5, 6, 7)
+_DATA = Path(__file__).parent / "data"
 
 
 class ParseError(ValueError):
@@ -55,7 +55,7 @@ class TableRow:
     def __post_init__(self):
         if len(self.coeffs) != self.system.V - 1:
             raise ValueError("expected one coefficient per inequality (c_2..c_V)")
-        if any(c < 1 for c in self.coeffs):
+        if min(self.coeffs) < 1:
             raise ValueError("coefficients must be positive integers")
 
 
@@ -93,11 +93,24 @@ def _expected_header(V: int) -> list[str]:
     )
 
 
-def _parse_int(text: str, what: str, line: int) -> int:
+def _row_error(record: list[str], V: int, line: int) -> Optional[ParseError]:
+    """The error for the first bad field of a row in column order (a
+    malformed or out-of-range j, a malformed or nonpositive c, a malformed
+    min_f), or None."""
+    for k, text in enumerate(record[:-1]):
+        kind, i = ("j", k + 3) if k < V - 2 else ("c", k - V + 4)
+        try:
+            value = int(text)
+        except ValueError:
+            return ParseError(f"{kind}_{i} must be an integer, got {text!r}", line)
+        if kind == "j" and not 1 <= value <= i - 1:
+            return RangeError(f"j_{i} = {value} out of range 1..{i - 1}", line)
+        if kind == "c" and value < 1:
+            return ParseError(f"c_{i} = {value} must be positive", line)
     try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {text!r}", line) from None
+        parse_rational(record[-1])
+    except ValueError as exc:
+        return ParseError(f"bad min_f: {exc}", line)
 
 
 def parse_certificate_table(path: PathLike) -> CertificateTable:
@@ -107,6 +120,11 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
     canonical order and cover every system exactly once; out-of-range j
     entries raise RangeError, everything else malformed raises ParseError,
     both with the 1-based line number.
+
+    Each row is read in one pass: its integer fields are converted at once,
+    ShadowSystem checks the j ranges and TableRow the c signs.  Only a row
+    that fails there is rescanned field by field (_row_error), so that the
+    first bad field in column order is the one reported.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -127,37 +145,23 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
             if not record:
                 continue
             if len(record) != width:
-                raise ParseError(
-                    f"expected {width} fields, got {len(record)}", line
-                )
-            j_part = record[: V - 2]
-            c_part = record[V - 2 : 2 * V - 3]
-            choices = []
-            for offset, text in enumerate(j_part):
-                i = offset + 3
-                value = _parse_int(text, f"j_{i}", line)
-                if not 1 <= value <= i - 1:
-                    raise RangeError(f"j_{i} = {value} out of range 1..{i - 1}", line)
-                choices.append(value)
-            coeffs = []
-            for offset, text in enumerate(c_part):
-                i = offset + 2
-                value = _parse_int(text, f"c_{i}", line)
-                if value < 1:
-                    raise ParseError(f"c_{i} = {value} must be positive", line)
-                coeffs.append(value)
+                raise ParseError(f"expected {width} fields, got {len(record)}", line)
             try:
-                min_f = parse_rational(record[-1])
+                values = list(map(int, record[:-1]))
+                row = TableRow(
+                    system=ShadowSystem.from_choices(V, values[: V - 2]),
+                    coeffs=tuple(values[V - 2 :]),
+                    min_f=parse_rational(record[-1]),
+                )
             except ValueError as exc:
-                raise ParseError(f"bad min_f: {exc}", line) from None
-            system = ShadowSystem.from_choices(V, choices)
-            if system.system_id != len(rows):
+                raise _row_error(record, V, line) or exc from None
+            if row.system.system_id != len(rows):
                 raise ParseError(
-                    f"system {tuple(choices)} out of canonical order "
+                    f"system {row.system.choices} out of canonical order "
                     f"(duplicate, missing, or misordered rows)",
                     line,
                 )
-            rows.append(TableRow(system=system, coeffs=tuple(coeffs), min_f=min_f))
+            rows.append(row)
     expected = math.factorial(V - 1)
     if len(rows) != expected:
         raise ParseError(f"expected {expected} rows for V={V}, found {len(rows)}")
@@ -181,7 +185,7 @@ def bundled_table_path(V: int) -> Path:
     """Filesystem path of the packaged table for one of V = 4..7."""
     if V not in BUNDLED_VERTEX_COUNTS:
         raise ValueError(f"no bundled table for V={V} (have {BUNDLED_VERTEX_COUNTS})")
-    return Path(str(resources.files("monoproof").joinpath("data", f"appendix_v{V}.csv")))
+    return _DATA / f"appendix_v{V}.csv"
 
 
 def table_checksum(path: PathLike) -> str:
@@ -189,8 +193,7 @@ def table_checksum(path: PathLike) -> str:
 
 
 def bundled_checksums() -> dict[str, str]:
-    text = resources.files("monoproof").joinpath("data", "checksums.json").read_text("utf-8")
-    return dict(json.loads(text))
+    return dict(json.loads((_DATA / "checksums.json").read_text("utf-8")))
 
 
 def verify_bundled_checksum(V: int) -> str:

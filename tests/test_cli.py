@@ -425,15 +425,34 @@ def test_version_flag(capsys):
     assert "monoproof" in capsys.readouterr().out
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """A fresh interpreter that imports monoproof from this checkout's src."""
     src = str(Path(monoproof.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "monoproof", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_python("-m", "monoproof", "--version")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("monoproof ")
+
+
+def test_import_does_not_load_the_process_pool():
+    """Only a pooled prove needs multiprocessing; importing the package and
+    its command line must leave it, and the process pool, unloaded."""
+    result = run_python(
+        "-c",
+        "import sys, monoproof, monoproof.cli; print(monoproof.__file__); "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
+    )
+    assert result.returncode == 0, result.stderr
+    loaded_from, pool_modules = result.stdout.splitlines()
+    assert Path(loaded_from).resolve() == Path(monoproof.__file__).resolve()
+    assert pool_modules == "[]"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -369,6 +370,21 @@ def test_audit_catches_a_corrupted_axis_matrix(corrupt, monkeypatch):
     assert verify_certificate(V, system, coeffs).min_value == expected
 
 
+def test_audit_catches_a_consistent_point_that_is_not_stationary():
+    """At x = 0 with D = 1 the rebuilt vertices are t = (1, 0, ..., 0, -1).
+    Reporting d_last = 2 g(t) there makes the value check pass, so only the
+    zero-gradient check can reject the point; every sampled bundled row's
+    true minimizer is elsewhere, and the audit must raise."""
+    for V in (4, 5, 6, 7):
+        for row in parse_certificate_table(bundled_table_path(V)).rows[::29]:
+            assert any(verify_certificate(V, row.system, row.coeffs).minimizer)
+            t = [1] + [0] * (V - 2) + [-1]
+            g = sum(c * (t[i - 1] ** 2 - t[i - 1] * t[row.system.j_of(i) - 1])
+                    for i, c in zip(range(2, V + 1), row.coeffs))
+            with pytest.raises(RuntimeError, match="failed the geometric audit"):
+                prover._audit(row.system, row.coeffs, [0] * (V - 2), 1, 2 * g)
+
+
 def test_prove_unsolvable_v4():
     report = prove_unsolvable(4, SearchConfig(base_seed=1))
     assert report.V == 4
@@ -490,3 +506,23 @@ def test_prove_caps_pool_workers(monkeypatch):
         monkeypatch.setattr(prover.os, "cpu_count", lambda: cpus)
         assert prove_unsolvable(4, cfg, jobs=jobs).to_json() == serial
         assert created == workers
+
+
+def test_prove_through_the_real_pool_on_any_core_count(monkeypatch):
+    """With the CPU count set to 2, jobs=2 starts the real, lazily imported
+    process pool with 2 workers even on a 1-core host; the report equals the
+    serial one."""
+    cfg = SearchConfig(base_seed=3)
+    serial = prove_unsolvable(5, cfg).to_json()
+    started = []
+    lazy = prover.ProcessPoolExecutor
+
+    def recording(max_workers):
+        pool = lazy(max_workers=max_workers)
+        started.append((type(pool), max_workers))
+        return pool
+
+    monkeypatch.setattr(prover, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(prover.os, "cpu_count", lambda: 2)
+    assert prove_unsolvable(5, cfg, jobs=2).to_json() == serial
+    assert started == [(ProcessPoolExecutor, 2)]

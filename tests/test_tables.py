@@ -125,6 +125,39 @@ def test_non_integer_j(tmp_path):
         parse_certificate_table(path)
 
 
+def with_fields(lines, line, **fields):
+    """Copy of the table lines with named fields of one 1-based line replaced."""
+    header = lines[0].split(",")
+    parts = lines[line - 1].split(",")
+    for name, text in fields.items():
+        parts[header.index(name)] = text
+    return lines[: line - 1] + [",".join(parts)] + lines[line:]
+
+
+def test_non_integer_c(tmp_path):
+    path = write_table(tmp_path, with_fields(bundled_lines(), 3, c_3="4.5"))
+    with pytest.raises(ParseError, match="c_3 must be an integer, got '4.5'") as info:
+        parse_certificate_table(path)
+    assert type(info.value) is ParseError
+    assert info.value.line == 3
+
+
+def test_first_bad_field_in_column_order_is_reported(tmp_path):
+    # an out-of-range j_3 comes before a malformed c_2, as it did when every
+    # field was checked in turn
+    path = write_table(tmp_path, with_fields(bundled_lines(), 2, j_3="5", c_2="x"))
+    with pytest.raises(RangeError, match="j_3 = 5 out of range 1..2") as info:
+        parse_certificate_table(path)
+    assert info.value.line == 2
+
+
+def test_malformed_j_reports_its_line(tmp_path):
+    path = write_table(tmp_path, with_fields(bundled_lines(), 5, j_4="four"))
+    with pytest.raises(ParseError, match="j_4 must be an integer, got 'four'") as info:
+        parse_certificate_table(path)
+    assert info.value.line == 5
+
+
 def test_non_positive_coefficient(tmp_path):
     lines = bundled_lines()
     parts = lines[1].split(",")

@@ -1,12 +1,14 @@
 import importlib.util
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+def load_tool(name="code_lines"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
@@ -34,3 +36,54 @@ not a docstring"""
     # import, def, the three lines of the parenthesized assignment, return,
     # and both lines of TEXT
     assert load_tool().code_lines(source) == 8
+
+
+# -X importtime output of a monoproof.cli import, trimmed: every module is
+# printed after its own imports, two spaces deeper than its importer.
+IMPORTTIME_SAMPLE = """\
+import time: self [us] | cumulative | imported package
+import time:       331 |        331 |       __future__
+import time:       890 |       9965 |       dataclasses
+import time:      7841 |      21952 |     monoproof.ratcore
+import time:       282 |        282 |             _json
+import time:       474 |        755 |           json.scanner
+import time:       462 |       1216 |         json.decoder
+import time:       298 |       2086 |       json
+import time:      5925 |       8010 |     monoproof.equilibria
+import time:      6148 |       6148 |     monoproof.prover
+import time:       597 |      38707 |   monoproof
+import time:      1157 |       1895 |   argparse
+import time:      3114 |      43716 | monoproof.cli
+"""
+
+
+def test_import_cost_reads_importtime_output():
+    tool = load_tool("import_cost")
+    imports = tool.parse_importtime(IMPORTTIME_SAMPLE)
+    assert [(m.name, m.parent) for m in imports] == [
+        ("__future__", "monoproof.ratcore"),
+        ("dataclasses", "monoproof.ratcore"),
+        ("monoproof.ratcore", "monoproof"),
+        ("_json", "json.scanner"),
+        ("json.scanner", "json.decoder"),
+        ("json.decoder", "json"),
+        ("json", "monoproof.equilibria"),
+        ("monoproof.equilibria", "monoproof"),
+        ("monoproof.prover", "monoproof"),
+        ("monoproof", "monoproof.cli"),
+        ("argparse", "monoproof.cli"),
+        ("monoproof.cli", None),
+    ]
+    assert tool.report(imports) == [
+        "monoproof modules, self ms:",
+        "    7.84  monoproof.ratcore",
+        "    5.92  monoproof.equilibria",
+        "    6.15  monoproof.prover",
+        "    0.60  monoproof",
+        "    3.11  monoproof.cli",
+        "imported by monoproof modules, cumulative ms:",
+        "    0.33  __future__  (monoproof.ratcore)",
+        "    9.96  dataclasses  (monoproof.ratcore)",
+        "    2.09  json  (monoproof.equilibria)",
+        "    1.90  argparse  (monoproof.cli)",
+    ]
