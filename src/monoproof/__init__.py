@@ -8,18 +8,7 @@ inequality sum is strictly convex with a strictly positive exact-rational
 minimum.
 """
 
-from monoproof.ratcore import (
-    Rational,
-    RatMatrix,
-    RatVector,
-    SingularError,
-    as_rational,
-    eval_quadratic,
-    format_rational,
-    is_positive_definite,
-    parse_rational,
-    solve_linear,
-)
+from monoproof.ratcore import RatVector, format_rational, parse_rational
 from monoproof.equilibria import (
     DegenerateSimplex,
     FaceConfig,
@@ -39,13 +28,9 @@ from monoproof.equilibria import (
 )
 from monoproof.expansion import (
     NonPositiveCoefficient,
-    QuadraticForm,
     ShadowSystem,
     enumerate_systems,
-    inequality_form,
-    inequality_forms,
     reconstruct_vertices,
-    weighted_inequality_sum,
 )
 from monoproof.prover import (
     Certificate,

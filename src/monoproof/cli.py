@@ -127,9 +127,9 @@ def cmd_prove(ns: argparse.Namespace) -> int:
             max_trials=ns.max_trials,
             base_seed=ns.seed,
         )
+        report = prove_unsolvable(ns.vertices, cfg, jobs=ns.jobs)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    report = prove_unsolvable(ns.vertices, cfg, jobs=ns.jobs)
     body = json.dumps(report.to_json(), indent=2) + "\n"
     manifest = _manifest(
         "prove",
@@ -175,26 +175,21 @@ def cmd_count(ns: argparse.Namespace) -> int:
         cfg = load_config(ns.input)
     except (OSError, ValueError) as exc:
         return _fail_usage(f"{ns.input}: {exc}")
-    if ns.faces:
-        if not isinstance(cfg, FaceConfig):
-            return _fail_usage("--faces needs a face-vector input (kind: 'faces')")
-        matrix = face_shadow_matrix(cfg)
-        print(f"S = {len(matrix.equilibria())}")
-        for i in range(cfg.F):
-            status = _describe_row(matrix, i, "face")
-            print(f"face {i + 1}: {status}")
-        return EXIT_OK
-    if not isinstance(cfg, PointConfig):
+    if ns.faces and not isinstance(cfg, FaceConfig):
+        return _fail_usage("--faces needs a face-vector input (kind: 'faces')")
+    if not ns.faces and not isinstance(cfg, PointConfig):
         return _fail_usage("vertex input required (kind: 'vertices'); "
                            "pass --faces for face configurations")
-    if not cfg.is_generic:
-        print("warning: squared vertex norms are not pairwise distinct; "
-              "degenerate contacts possible", file=sys.stderr)
-    matrix = vertex_shadow_matrix(cfg)
-    print(f"U = {len(matrix.equilibria())}")
-    for i in range(cfg.V):
-        status = _describe_row(matrix, i, "vertex")
-        print(f"vertex {i + 1}: {status}")
+    if ns.faces:
+        label, noun, matrix = "S", "face", face_shadow_matrix(cfg)
+    else:
+        if not cfg.is_generic:
+            print("warning: squared vertex norms are not pairwise distinct; "
+                  "degenerate contacts possible", file=sys.stderr)
+        label, noun, matrix = "U", "vertex", vertex_shadow_matrix(cfg)
+    print(f"{label} = {len(matrix.equilibria())}")
+    for i in range(matrix.size):
+        print(f"{noun} {i + 1}: {_describe_row(matrix, i, noun)}")
     return EXIT_OK
 
 
@@ -222,19 +217,16 @@ def cmd_check_hull(ns: argparse.Namespace) -> int:
         return _fail_usage(f"{ns.input}: {exc}")
     if not isinstance(cfg, PointConfig):
         return _fail_usage("check-hull needs a vertex input (kind: 'vertices')")
-    interior = 0
+    hull = 0
     for i in range(cfg.V):
         if is_hull_vertex(cfg, i):
+            hull += 1
             print(f"vertex {i + 1}: hull vertex")
         else:
-            interior += 1
             print(f"vertex {i + 1}: NOT a hull vertex "
                   "(convex combination of the others)")
-    if interior:
-        print(f"{cfg.V - interior}/{cfg.V} points are hull vertices")
-        return EXIT_FAIL
-    print(f"{cfg.V}/{cfg.V} points are hull vertices")
-    return EXIT_OK
+    print(f"{hull}/{cfg.V} points are hull vertices")
+    return EXIT_OK if hull == cfg.V else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,26 +5,28 @@ unstable equilibrium iff no other vertex "shadows" it, i.e. iff
 (r_i - r_j).r_i > 0 for every j.  Faces behave dually through their face
 vectors q_i (foot of the perpendicular from the center of mass).
 
-All signs come from one integer kernel.  It clears denominators once per
-configuration, R_i = L * r_i with L the lcm of every coordinate
-denominator, and returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by
-L^2 > 0 keeps every sign, zeros (degenerate contacts) included, so K on the
-vertices is the vertex shadow matrix.  Since (q_j - q_i).q_j =
-|q_j|^2 - q_i.q_j, the face shadow matrix is K on the face vectors,
-transposed.  Norm comparisons use squared norms, so no roots ever appear.
+A configuration's dimension is the common length of its vectors.  All
+signs come from one integer kernel.  It clears denominators once per
+configuration with ratcore.clear_denominators, R_i = L * r_i with L the lcm
+of every coordinate denominator, and returns
+K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every sign,
+zeros (degenerate contacts) included, so K on the vertices is the vertex
+shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
+shadow matrix is K on the face vectors, transposed.  The hull test and the
+genericity check read the same cleared rows.  Norm comparisons use squared
+norms, so no roots ever appear.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from monoproof.ratcore import RatVector, RationalLike, nonneg_combination_exists
+from monoproof.ratcore import RatVector, RationalLike, clear_denominators, nonneg_combination_exists
 
 
 class DegenerateSimplex(ValueError):
@@ -39,21 +41,24 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _vectors(items: Iterable[Sequence[RationalLike] | RatVector], noun: str) -> tuple:
+    """At least two RatVectors of one positive dimension, or ValueError."""
+    vecs = tuple(v if isinstance(v, RatVector) else RatVector(v) for v in items)
+    if len(vecs) < 2:
+        raise ValueError(f"need at least 2 {noun}")
+    if len({len(v) for v in vecs}) > 1 or not vecs[0]:
+        raise ValueError(f"all {noun} must have the same positive dimension")
+    return vecs
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """Vertex vectors r_i of a polytope, relative to the center of mass."""
 
-    d: int
     vertices: tuple[RatVector, ...]
 
-    def __init__(self, vertices: Iterable[Sequence[RationalLike] | RatVector], d: int = 3):
-        vecs = tuple(v if isinstance(v, RatVector) else RatVector(v) for v in vertices)
-        if len(vecs) < 2:
-            raise ValueError("need at least 2 vertices")
-        if any(len(v) != d for v in vecs):
-            raise ValueError(f"all vertices must have dimension {d}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "vertices", vecs)
+    def __init__(self, vertices: Iterable[Sequence[RationalLike] | RatVector]):
+        object.__setattr__(self, "vertices", _vectors(vertices, "vertices"))
 
     @property
     def V(self) -> int:
@@ -62,7 +67,7 @@ class PointConfig:
     @property
     def is_generic(self) -> bool:
         """True when all squared vertex norms are pairwise distinct."""
-        norms = [_dot(R, R) for R in _cleared(self.vertices)[0]]
+        norms = [_dot(R, R) for R in clear_denominators(self.vertices)[0]]
         return len(set(norms)) == len(norms)
 
 
@@ -71,18 +76,12 @@ class FaceConfig:
     """Face vectors q_i: from the center of mass to its orthogonal projection
     onto each face plane.  All q_i must be nonzero."""
 
-    d: int
     faces: tuple[RatVector, ...]
 
-    def __init__(self, faces: Iterable[Sequence[RationalLike] | RatVector], d: int = 3):
-        vecs = tuple(q if isinstance(q, RatVector) else RatVector(q) for q in faces)
-        if len(vecs) < 2:
-            raise ValueError("need at least 2 faces")
-        if any(len(q) != d for q in vecs):
-            raise ValueError(f"all face vectors must have dimension {d}")
+    def __init__(self, faces: Iterable[Sequence[RationalLike] | RatVector]):
+        vecs = _vectors(faces, "faces")
         if any(q.is_zero() for q in vecs):
             raise ValueError("face vectors must be nonzero")
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "faces", vecs)
 
     @property
@@ -104,31 +103,21 @@ class ShadowMatrix:
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
-    def row_sum(self, i: int) -> int:
-        return sum(self.entries[i])
-
     def equilibria(self) -> list[int]:
         """Rows whose off-diagonal entries are all +1.  A zero entry (a
         degenerate contact) makes the row fall short, so degenerate
         equilibria never count."""
-        return [i for i in range(self.size) if self.row_sum(i) == self.size - 1]
+        return [i for i, row in enumerate(self.entries) if sum(row) == self.size - 1]
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _cleared(vectors: Sequence[RatVector]) -> tuple[list[list[int]], int]:
-    """(R, L): L is the lcm of all coordinate denominators and R_i = L * r_i,
-    an integer row."""
-    L = math.lcm(*(e.denominator for v in vectors for e in v.entries))
-    return [[e.numerator * (L // e.denominator) for e in v.entries] for v in vectors], L
-
-
 def _shadow_kernel(vectors: Sequence[RatVector]) -> list[list[int]]:
     """K[a][b] = sign(|R_a|^2 - R_a.R_b) on the cleared rows, read off their
     Gram matrix; the diagonal is sign(0) = 0 by construction."""
-    rows, _ = _cleared(vectors)
+    rows, _ = clear_denominators(vectors)
     gram = [[_dot(R, S) for S in rows] for R in rows]
     return [[_sign(g[a] - x) for x in g] for a, g in enumerate(gram)]
 
@@ -197,7 +186,7 @@ def simplex_face_vectors(vertices: Sequence[RatVector], o: RatVector) -> FaceCon
         if side_o == 0 or _sign(side_o) != _sign(side_v):
             raise OutsideError("reference point is not strictly inside the simplex")
         qs.append(normal.scale(normal.dot(a - o) / normal.norm_sq()))
-    return FaceConfig(qs, d=3)
+    return FaceConfig(qs)
 
 
 def simplex_area_vectors(vertices: Sequence[RatVector]) -> list[RatVector]:
@@ -230,7 +219,7 @@ def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
     """
     if not 0 <= i < cfg.V:
         raise IndexError(f"vertex index {i} out of range")
-    rows, L = _cleared(cfg.vertices)
+    rows, L = clear_denominators(cfg.vertices)
     columns = [[*R, L] for j, R in enumerate(rows) if j != i]
     return not nonneg_combination_exists(columns, [*rows[i], L])
 
@@ -270,5 +259,5 @@ def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig
                 raise ValueError(f"coordinate {entry!r} is not an integer or a 'p/q' string")
         rows.append(RatVector(row))
     if kind == "vertices":
-        return PointConfig(rows, d=d)
-    return FaceConfig(rows, d=d)
+        return PointConfig(rows)
+    return FaceConfig(rows)

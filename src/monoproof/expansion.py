@@ -66,12 +66,11 @@ class ShadowSystem:
             raise ValueError(f"expected {V - 1} choices j(2)..j({V}), got {len(j)}")
         if j[0] != 1:
             raise ValueError("j(2) must be 1")
-        for i in range(3, V + 1):
-            if not 1 <= j[i - 2] <= i - 1:
-                raise ValueError(f"j({i}) = {j[i - 2]} out of range 1..{i - 1}")
         rank = 0
-        for i in range(3, V + 1):
-            rank = rank * (i - 1) + (j[i - 2] - 1)
+        for i, ji in enumerate(j[1:], start=3):
+            if not 1 <= ji <= i - 1:
+                raise ValueError(f"j({i}) = {ji} out of range 1..{i - 1}")
+            rank = rank * (i - 1) + (ji - 1)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "system_id", rank)
@@ -89,13 +88,6 @@ class ShadowSystem:
     @property
     def choices(self) -> tuple[int, ...]:
         return self.j[1:]
-
-    def to_json(self) -> dict:
-        return {"V": self.V, "j": list(self.j)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ShadowSystem":
-        return cls(int(doc["V"]), tuple(int(v) for v in doc["j"]))
 
 
 def enumerate_systems(V: int) -> Iterator[ShadowSystem]:
@@ -154,7 +146,7 @@ def _quadratic_form(g: list[list[int]]) -> QuadraticForm:
     h = len(g) - 1
     A = [[Fraction(g[min(r, c)][abs(c - r)], 2) for c in range(h)] for r in range(h)]
     b = [g[r][h - r] for r in range(h)]
-    return QuadraticForm(RatMatrix(A, symmetric=True), RatVector(b), Fraction(g[h][0], 2))
+    return QuadraticForm(RatMatrix(A), RatVector(b), Fraction(g[h][0], 2))
 
 
 def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:

@@ -52,6 +52,10 @@ from monoproof.expansion import (
 
 _SEED_MASK = (1 << 64) - 1
 
+# prove_unsolvable holds one task per system, about 400 bytes each: 145 MB
+# for the 9! systems at V = 10, but 1.45 GB at V = 11 and 190 GB at V = 13.
+MAX_PROOF_VERTICES = 10
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -266,10 +270,14 @@ def prove_unsolvable(
     it enters the report.  Deterministic for a fixed config: per-system seeds
     do not depend on scheduling or jobs.  ``jobs`` >= 1 asks for that many
     worker processes, capped at the CPU count and the number of systems;
-    with a cap of 1 the search runs in this process.
+    with a cap of 1 the search runs in this process.  V above
+    MAX_PROOF_VERTICES is refused before any system is enumerated.
     """
     if V < 4:
         raise ValueError("proof runs start at V = 4")
+    if V > MAX_PROOF_VERTICES:
+        raise ValueError(f"proof runs stop at V = {MAX_PROOF_VERTICES}: "
+                         f"V = {V} has {V - 1}! systems to hold in memory")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     cfg = cfg if cfg is not None else SearchConfig()

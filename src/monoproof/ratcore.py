@@ -2,13 +2,15 @@
 nonnegative-combination feasibility.
 
 Public values are ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms, positive denominator).  Nothing here ever rounds: elimination
-is done fraction-free over the integers after clearing denominators, so
-results are exact by construction.  symmetric_bareiss is the proof core:
-the one elimination behind positive-definiteness tests and certificate
-checks.  Outside it, one integer Gauss-Jordan pivot (_jordan_pivot) serves
-both the general solve_linear and the phase-I simplex
-nonneg_combination_exists.
+lowest terms, positive denominator).  Nothing here ever rounds.  Rationals
+become integers at one boundary, clear_denominators, which scales a whole
+matrix by the lcm of its denominators; every consumer (solve_linear,
+nonneg_combination_exists, is_positive_definite and the equilibria kernel)
+then works fraction-free over the integers, so results are exact by
+construction.  symmetric_bareiss is the proof core: the one elimination
+behind positive-definiteness tests and certificate checks.  Outside it, one
+integer Gauss-Jordan pivot (_jordan_pivot) serves both the general
+solve_linear and the phase-I simplex nonneg_combination_exists.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -71,10 +71,6 @@ class RatVector:
     def __init__(self, entries: Iterable[RationalLike]):
         object.__setattr__(self, "entries", tuple(as_rational(e) for e in entries))
 
-    @classmethod
-    def zero(cls, n: int) -> "RatVector":
-        return cls([0] * n)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -124,27 +120,19 @@ class RatVector:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable square matrix of rationals, optionally tagged symmetric."""
+    """Immutable square matrix of rationals."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-    symmetric: bool = False
 
-    def __init__(self, rows: Iterable[Iterable[RationalLike]], symmetric: bool = False):
+    def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         grid = tuple(tuple(as_rational(e) for e in row) for row in rows)
-        n = len(grid)
-        if any(len(row) != n for row in grid):
+        if any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square")
-        if symmetric:
-            for i in range(n):
-                for j in range(i):
-                    if grid[i][j] != grid[j][i]:
-                        raise ValueError(f"symmetric flag set but entry ({i},{j}) != ({j},{i})")
         object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "symmetric", symmetric)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], symmetric=True)
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def n(self) -> int:
@@ -166,10 +154,14 @@ class RatMatrix:
         )
 
 
-def _clear_row_denominators(row: Sequence[Fraction]) -> list[int]:
-    # scaling a whole row by a positive integer preserves the solution set
-    scale = math.lcm(*(e.denominator for e in row)) if row else 1
-    return [int(e * scale) for e in row]
+def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(R, L) for rows of int or Fraction entries: L is the lcm of every
+    entry's denominator and R = L * rows, an integer matrix.  Scaling the
+    whole matrix by one L > 0 keeps every sign and zero, the solution set of
+    a linear system and definiteness."""
+    rows = list(rows)
+    L = math.lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (L // e.denominator) for e in row] for row in rows], L
 
 
 def _jordan_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -199,7 +191,7 @@ def solve_linear(A: RatMatrix, b: RatVector) -> RatVector:
     n = A.n
     if len(b) != n:
         raise ValueError(f"dimension mismatch: matrix {n}, rhs {len(b)}")
-    rows = [_clear_row_denominators(list(A[i]) + [b[i]]) for i in range(n)]
+    rows, _ = clear_denominators([*A[i], b[i]] for i in range(n))
     pivot_rows: list[int] = []
     prev = 1
     for k in range(n):
@@ -217,20 +209,20 @@ def nonneg_combination_exists(
     """Is target = sum(lam_c * columns[c]) for some lam >= 0?
 
     Exact phase-I simplex on the integer tableau [A | I | t], where A holds
-    the columns and t the target.  Each row is sign-flipped so its target
-    entry is >= 0 and denominator-cleared before the artificial identity
-    columns go on, so the starting basis is I.  Bland's rule (Math. Oper.
-    Res. 2, 1977) enters the lowest column with positive phase-I cost (its
-    sum over the rows whose basis is artificial) and breaks ratio ties by
-    the lowest basis index, so the simplex cannot cycle; an artificial that
-    leaves never re-enters.  Every pivot is positive, so the tableau stays
+    the columns and t the target.  [A | t] is denominator-cleared once and
+    each row sign-flipped so its target entry is >= 0 before the artificial
+    identity columns go on, so the starting basis is I.  Bland's rule
+    (Math. Oper. Res. 2, 1977) enters the lowest column with positive
+    phase-I cost (its sum over the rows whose basis is artificial) and
+    breaks ratio ties by the lowest basis index, so the simplex cannot
+    cycle; an artificial that leaves never re-enters.  Every pivot is positive, so the tableau stays
     D * B^-1 [A | I | t] with D > 0, and the target is feasible iff every
     artificial still in the basis has right-hand side 0.
     """
     m, n = len(target), len(columns)
+    cleared, _ = clear_denominators([*(col[i] for col in columns), target[i]] for i in range(m))
     rows = []
-    for i in range(m):
-        row = _clear_row_denominators([col[i] for col in columns] + [target[i]])
+    for i, row in enumerate(cleared):
         if row[-1] < 0:
             row = [-x for x in row]
         rows.append(row[:-1] + [int(k == i) for k in range(m)] + row[-1:])
@@ -304,12 +296,8 @@ def is_positive_definite(A: RatMatrix) -> bool:
     """
     if not A.is_symmetric():
         raise ValueError("positive definiteness test requires a symmetric matrix")
-    n = A.n
-    if n == 0:
-        return True
-    scale = math.lcm(*(e.denominator for row in A.entries for e in row))
-    packed = [[int(e * scale) for e in row[r:]] for r, row in enumerate(A.entries)]
-    return symmetric_bareiss(packed) == n
+    rows, _ = clear_denominators(A.entries)
+    return symmetric_bareiss([row[r:] for r, row in enumerate(rows)]) == A.n
 
 
 def eval_quadratic(A: RatMatrix, b: RatVector, c0: Fraction, x: RatVector) -> Fraction:

@@ -8,6 +8,7 @@ import pytest
 
 import monoproof
 import monoproof.tables
+from monoproof import prover
 from monoproof.cli import main
 from monoproof.tables import bundled_table_path
 
@@ -162,6 +163,16 @@ def test_prove_rejects_small_vertex_count(capsys):
     code, _, err = run(capsys, "prove", "--vertices", "3", "--seed", "0")
     assert code == 2
     assert "--vertices" in err
+
+
+def test_prove_rejects_a_vertex_count_past_the_cap(capsys, monkeypatch):
+    def fail(V):
+        raise AssertionError("systems enumerated")
+
+    monkeypatch.setattr(prover, "enumerate_systems", fail)
+    code, out, err = run(capsys, "prove", "--vertices", "13", "--seed", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "V = 13" in err
 
 
 def test_prove_rejects_bad_coeff_range(capsys):

@@ -213,7 +213,7 @@ def test_shadow_matrices_match_the_definition():
              for j, qj in enumerate(pts)]
             for i, qi in enumerate(pts)
         ]
-        vcfg, fcfg = PointConfig(pts, d=d), FaceConfig(pts, d=d)
+        vcfg, fcfg = PointConfig(pts), FaceConfig(pts)
         assert [list(row) for row in vertex_shadow_matrix(vcfg).entries] == vertex_ref
         assert [list(row) for row in face_shadow_matrix(fcfg).entries] == face_ref
         full = [[i for i, row in enumerate(ref) if all(v == 1 for j, v in enumerate(row)
@@ -384,7 +384,7 @@ def test_hull_vertex_matches_subset_oracle():
             if rng.random() < 0.5:
                 i = rng.randrange(V)
         expected = reference_is_hull_vertex(points, i)
-        assert is_hull_vertex(PointConfig(points, d=d), i) == expected, (points, i)
+        assert is_hull_vertex(PointConfig(points), i) == expected, (points, i)
         answers.add(expected)
     assert answers == {True, False}
 
@@ -433,10 +433,22 @@ def test_load_config_rejects(doc):
         load_config(doc)
 
 
+def test_configs_take_their_dimension_from_the_vectors():
+    for d in (2, 4):
+        points = [[Fraction(k + 1, 2) if c == k % d else -k for c in range(d)] for k in range(5)]
+        assert [len(r) for r in PointConfig(points).vertices] == [d] * 5
+        assert [len(q) for q in FaceConfig(points).faces] == [d] * 5
+    for mixed in ([(1, 2), (3, 4), (5, 6, 7)], [(1, 0, 0, 1), (1, 2, 3)]):
+        with pytest.raises(ValueError):
+            PointConfig(mixed)
+        with pytest.raises(ValueError):
+            FaceConfig(mixed)
+
+
 def test_point_config_validation():
     with pytest.raises(ValueError):
         PointConfig([(1, 2, 3)])  # single point
     with pytest.raises(ValueError):
-        PointConfig([(1, 2), (3, 4)], d=3)
+        PointConfig([(1, 2), (3, 4, 5)])  # mixed dimensions
     with pytest.raises(ValueError):
         FaceConfig([(0, 0, 0), (1, 0, 0)])  # zero face vector

@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from fraction_reference import reference_is_pd
 
 from monoproof import expansion, prover
 from monoproof.expansion import (
@@ -24,7 +25,7 @@ from monoproof.prover import (
     search_certificate,
     verify_certificate,
 )
-from monoproof.ratcore import RatMatrix, RatVector, is_positive_definite, solve_linear
+from monoproof.ratcore import RatMatrix, RatVector, solve_linear
 from monoproof.tables import bundled_table_path, parse_certificate_table
 
 # published certificate rows used as exact fixtures: (V, choices, coeffs, min)
@@ -38,7 +39,7 @@ KNOWN_ROWS = [
 
 def doubled(matrix: RatMatrix) -> RatMatrix:
     """The Hessian 2A of a quadratic part A."""
-    return RatMatrix([[2 * e for e in row] for row in matrix.entries], symmetric=True)
+    return RatMatrix([[2 * e for e in row] for row in matrix.entries])
 
 
 def test_minimizer_has_zero_gradient():
@@ -270,7 +271,8 @@ def test_integer_core_agrees_with_form_path():
     """verify_certificate (the one-axis (V-1) x (V-1) integer matrix, one
     symmetric Bareiss pass, fraction-free back substitution) must agree with
     the Fraction form f = weighted_inequality_sum(...) solved by the other
-    routines: is_positive_definite(2A) on the PD flag, the pivoting
+    routines: Fraction leading minors of 2A (Sylvester, sharing no code with
+    symmetric_bareiss) on the PD flag, the pivoting
     solve_linear(2A, -b) on the minimizer and f.evaluate on the minimum.
     Cases: every 10th bundled row per V, and seeded random weights at
     V = 5..7 that include non-PD and negative draws."""
@@ -290,7 +292,7 @@ def test_integer_core_agrees_with_form_path():
         got = verify_certificate(system.V, system, coeffs)
         form = weighted_inequality_sum(system, coeffs)
         hessian = doubled(form.A)
-        assert got.hessian_pd == is_positive_definite(hessian)
+        assert got.hessian_pd == reference_is_pd(hessian.entries)
         if not got.hessian_pd:
             assert got.min_value is None and got.minimizer is None and not got.positive
             outcomes["non_pd"] += 1
@@ -305,11 +307,12 @@ def test_integer_core_agrees_with_form_path():
 
 
 def test_pd_flag_against_second_difference_hessian():
-    """A positive-definiteness oracle that shares no code with the forms: the
-    (V-2) x (V-2) Hessian of F(x) = sum_i c_i (|r_i|^2 - r_i.r_j(i)) over
-    x = (t_2, ..., t_(V-1)) from second differences
-    F(e_p + e_q) - F(e_p) - F(e_q) + F(0) on reconstruct_vertices(V, x),
-    exact because F is quadratic.  Cases: every 10th bundled row per V, and
+    """A positive-definiteness oracle that shares no code with the forms or
+    the elimination: the (V-2) x (V-2) Hessian of
+    F(x) = sum_i c_i (|r_i|^2 - r_i.r_j(i)) over x = (t_2, ..., t_(V-1)) from
+    second differences F(e_p + e_q) - F(e_p) - F(e_q) + F(0) on
+    reconstruct_vertices(V, x), exact because F is quadratic, and its PD
+    flag from Fraction leading minors (Sylvester).  Cases: every 10th bundled row per V, and
     seeded random weights at V = 5..8 that include non-PD and negative
     draws."""
     cases = []
@@ -340,7 +343,7 @@ def test_pd_flag_against_second_difference_hessian():
                 pair = [a + b for a, b in zip(unit[p], unit[q])]
                 H[p][q] = H[q][p] = F(pair) - f1[p] - f1[q] + f0
         got = verify_certificate(V, system, coeffs)
-        assert is_positive_definite(RatMatrix(H, symmetric=True)) == got.hessian_pd
+        assert reference_is_pd(H) == got.hessian_pd
         outcomes["positive" if got.positive else "negative" if got.hessian_pd else "non_pd"] += 1
     assert min(outcomes[kind] for kind in ("non_pd", "negative", "positive")) > 0, outcomes
 
@@ -398,6 +401,18 @@ def test_prove_unsolvable_v4():
 def test_prove_unsolvable_rejects_small_v():
     with pytest.raises(ValueError):
         prove_unsolvable(3)
+
+
+def test_prove_unsolvable_refuses_v_above_the_cap_before_enumerating(monkeypatch):
+    """(V-1)! tasks do not fit in memory past the cap, so the refusal comes
+    before any system is built."""
+    def fail(V):
+        raise AssertionError("systems enumerated")
+
+    monkeypatch.setattr(prover, "enumerate_systems", fail)
+    for V in (prover.MAX_PROOF_VERTICES + 1, 13):
+        with pytest.raises(ValueError, match="stop at V = 10"):
+            prove_unsolvable(V)
 
 
 def test_prove_report_json_shape():

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_reference import reference_det
 
 from monoproof.ratcore import (
     RatMatrix,
     RatVector,
     SingularError,
     as_rational,
+    clear_denominators,
     eval_quadratic,
     format_rational,
     homogeneous_solution,
@@ -60,7 +62,7 @@ def test_vector_ops():
     assert u.dot(v) == Fraction(1, 2) - 3
     assert u.norm_sq() == 14
     assert u.scale(Fraction(1, 3)) == RatVector([Fraction(1, 3), Fraction(2, 3), 1])
-    assert RatVector.zero(3).is_zero()
+    assert RatVector([0, 0, 0]).is_zero() and not v.is_zero()
     with pytest.raises(ValueError):
         u.dot(RatVector([1, 2]))
 
@@ -78,11 +80,21 @@ def test_cross_product_orthogonality():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         RatMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [3, 4]], symmetric=True)
-    m = RatMatrix([[1, 2], [2, 5]], symmetric=True)
+    m = RatMatrix([[1, 2], [2, 5]])
     assert m.is_symmetric()
+    assert not RatMatrix([[1, 2], [3, 4]]).is_symmetric()
     assert m.n == 2
+
+
+def test_clear_denominators_scales_by_one_lcm():
+    rows = [[1, Fraction(-3, 4), 0], [Fraction(5, 6), -2, Fraction(-7, 9)]]
+    R, L = clear_denominators(rows)
+    assert L == 36
+    assert R == [[36, -27, 0], [30, -72, -28]]
+    assert all(type(x) is int and x == L * e for row, out in zip(rows, R)
+               for e, x in zip(row, out))
+    assert clear_denominators([[2, -3], [0, 1]]) == ([[2, -3], [0, 1]], 1)
+    assert clear_denominators([]) == ([], 1)
 
 
 def test_matvec():
@@ -153,10 +165,10 @@ def test_nonneg_combination_target_equal_to_a_column():
 
 def test_pd_known_cases():
     assert is_positive_definite(RatMatrix.identity(4))
-    assert is_positive_definite(RatMatrix([[2, -1], [-1, 2]], symmetric=True))
-    assert not is_positive_definite(RatMatrix([[1, 2], [2, 1]], symmetric=True))
-    assert not is_positive_definite(RatMatrix([[0, 0], [0, 1]], symmetric=True))
-    assert not is_positive_definite(RatMatrix([[-1, 0], [0, -1]], symmetric=True))
+    assert is_positive_definite(RatMatrix([[2, -1], [-1, 2]]))
+    assert not is_positive_definite(RatMatrix([[1, 2], [2, 1]]))
+    assert not is_positive_definite(RatMatrix([[0, 0], [0, 1]]))
+    assert not is_positive_definite(RatMatrix([[-1, 0], [0, -1]]))
 
 
 def test_pd_rejects_asymmetric():
@@ -176,29 +188,11 @@ def test_pd_gram_matrices():
             [sum(g[k][i] * g[k][j] for k in range(rows)) for j in range(n)]
             for i in range(n)
         ]
-        assert not is_positive_definite(RatMatrix(gram, symmetric=True))
+        assert not is_positive_definite(RatMatrix(gram))
         bumped = [
             [gram[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)
         ]
-        assert is_positive_definite(RatMatrix(bumped, symmetric=True))
-
-
-def _reference_det(rows) -> Fraction:
-    """Determinant by Fraction Gaussian elimination with row swaps."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for k in range(len(a)):
-        p = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        for r in range(k + 1, len(a)):
-            f = a[r][k] / a[k][k]
-            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return det
+        assert is_positive_definite(RatMatrix(bumped))
 
 
 def test_symmetric_bareiss_agrees_with_reference_path():
@@ -221,7 +215,7 @@ def test_symmetric_bareiss_agrees_with_reference_path():
             sym[i][i] -= rng.randint(0, 6)
         rhs = [rng.randint(-9, 9) for _ in range(n)]
         full = [row + [b] for row, b in zip(sym, rhs)] + [rhs + [rng.randint(-20, 80)]]
-        minors = [_reference_det([row[:k] for row in full[:k]]) for k in range(1, n + 2)]
+        minors = [reference_det([row[:k] for row in full[:k]]) for k in range(1, n + 2)]
         expected = next((k for k, d in enumerate(minors) if d <= 0), n + 1)
         m = [row[r:] for r, row in enumerate(full)]
         count = symmetric_bareiss(m)
@@ -237,7 +231,7 @@ def test_symmetric_bareiss_agrees_with_reference_path():
 
 
 def test_eval_quadratic_matches_expansion():
-    A = RatMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]], symmetric=True)
+    A = RatMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]])
     b = RatVector([-2, 0])
     x = RatVector([Fraction(1, 3), Fraction(-1, 2)])
     # x^T A x + b.x + c0 by hand
