@@ -45,18 +45,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _manifest(command: str, arguments: dict, seed: Optional[int] = None,
-              checksums: Optional[dict] = None,
-              wall_clock_seconds: Optional[float] = None) -> str:
+def _manifest(ns: argparse.Namespace, **extra) -> str:
+    """The run manifest: the command, its seed if it takes one, every other
+    parsed flag as the arguments, and the keys in ``extra``."""
     doc = {
-        "command": command,
-        "arguments": arguments,
-        "seed": seed,
-        "dataset_checksums": checksums or {},
+        "command": ns.command,
+        "arguments": {k: v for k, v in vars(ns).items() if k not in ("command", "func", "seed")},
+        "seed": getattr(ns, "seed", None),
+        "dataset_checksums": {},
         "artifact_version": __version__,
+        **extra,
     }
-    if wall_clock_seconds is not None:
-        doc["wall_clock_seconds"] = wall_clock_seconds
     return json.dumps(doc, sort_keys=True)
 
 
@@ -82,13 +81,11 @@ def _resolve_table(name: str) -> tuple[Path, str]:
 def cmd_verify(ns: argparse.Namespace) -> int:
     try:
         path, digest = _resolve_table(ns.table)
+        table = parse_certificate_table(path)
     except ChecksumMismatch as exc:
-        print(f"error: refusing modified bundled dataset: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail_usage(f"refusing modified bundled dataset: {exc}")
     except OSError as exc:
         return _fail_usage(str(exc))
-    try:
-        table = parse_certificate_table(path)
     except ParseError as exc:
         return _fail_usage(f"{path}: {exc}")
     verified = 0
@@ -104,15 +101,14 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             )
             print(f"system #{row.system.system_id} j=({j}): MISMATCH "
                   f"expected {format_rational(row.min_f)}, computed {computed}")
-            print(f"{verified}/{len(table)} verified before first mismatch")
-            print(_manifest("verify", {"table": ns.table}, checksums={path.name: digest}))
-            return EXIT_FAIL
+            break
         verified += 1
         print(f"system #{row.system.system_id} j=({j}): "
               f"ok, min = {format_rational(row.min_f)}")
-    print(f"{verified}/{len(table)} verified")
-    print(_manifest("verify", {"table": ns.table}, checksums={path.name: digest}))
-    return EXIT_OK
+    all_ok = verified == len(table)
+    print(f"{verified}/{len(table)} verified" + ("" if all_ok else " before first mismatch"))
+    print(_manifest(ns, dataset_checksums={path.name: digest}))
+    return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def cmd_prove(ns: argparse.Namespace) -> int:
@@ -127,29 +123,19 @@ def cmd_prove(ns: argparse.Namespace) -> int:
             max_trials=ns.max_trials,
             base_seed=ns.seed,
         )
+        if ns.out:
+            open(ns.out, "a").close()  # an unwritable --out fails before the search
         report = prove_unsolvable(ns.vertices, cfg, jobs=ns.jobs)
-    except ValueError as exc:
+        body = json.dumps(report.to_json(), indent=2) + "\n"
+        manifest = _manifest(ns, wall_clock_seconds=report.wall_clock_seconds)
+        if ns.out:
+            Path(ns.out).write_text(body)
+            Path(ns.out + ".manifest.json").write_text(manifest + "\n")
+    except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
-    body = json.dumps(report.to_json(), indent=2) + "\n"
-    manifest = _manifest(
-        "prove",
-        {
-            "vertices": ns.vertices,
-            "coeff_min": ns.coeff_min,
-            "coeff_max": ns.coeff_max,
-            "max_trials": ns.max_trials,
-            "jobs": ns.jobs,
-            "out": ns.out,
-        },
-        seed=ns.seed,
-        wall_clock_seconds=report.wall_clock_seconds,
-    )
     if ns.out:
-        out = Path(ns.out)
-        out.write_text(body)
-        Path(str(out) + ".manifest.json").write_text(manifest + "\n")
         print(f"{report.certified_count}/{len(report.systems)} systems certified; "
-              f"verdict: {report.verdict}; report written to {out}")
+              f"verdict: {report.verdict}; report written to {Path(ns.out)}")
     else:
         sys.stdout.write(body)
         print(manifest, file=sys.stderr)
@@ -175,12 +161,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
         cfg = load_config(ns.input)
     except (OSError, ValueError) as exc:
         return _fail_usage(f"{ns.input}: {exc}")
-    if ns.faces and not isinstance(cfg, FaceConfig):
-        return _fail_usage("--faces needs a face-vector input (kind: 'faces')")
-    if not ns.faces and not isinstance(cfg, PointConfig):
-        return _fail_usage("vertex input required (kind: 'vertices'); "
-                           "pass --faces for face configurations")
-    if ns.faces:
+    if isinstance(cfg, FaceConfig):
         label, noun, matrix = "S", "face", face_shadow_matrix(cfg)
     else:
         if not cfg.is_generic:
@@ -247,17 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="search certificates for all systems of one V")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--coeff-min", type=int, default=1)
-    p.add_argument("--coeff-max", type=int, default=101)
-    p.add_argument("--max-trials", type=int, default=100_000)
+    p.add_argument("--coeff-min", type=int, default=SearchConfig.coeff_min)
+    p.add_argument("--coeff-max", type=int, default=SearchConfig.coeff_max)
+    p.add_argument("--max-trials", type=int, default=SearchConfig.max_trials)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("count", help="count equilibria of a configuration")
-    p.add_argument("--input", required=True, help="JSON configuration file")
-    p.add_argument("--faces", action="store_true",
-                   help="treat input as face vectors and count stable equilibria")
+    p.add_argument("--input", required=True,
+                   help="JSON configuration file; its kind picks the count")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("systems", help="enumerate shadowing systems")

@@ -91,9 +91,8 @@ class ShadowSystem:
 
 
 def enumerate_systems(V: int) -> Iterator[ShadowSystem]:
-    """All (V-1)! shadowing systems in canonical order (j(V) fastest)."""
-    if V < 3:
-        raise ValueError("shadowing systems need V >= 3")
+    """All (V-1)! shadowing systems in canonical order (j(V) fastest).
+    V < 3 raises ValueError, from ShadowSystem, on the first next()."""
     for choices in itertools.product(*(range(1, i) for i in range(3, V + 1))):
         yield ShadowSystem.from_choices(V, choices)
 

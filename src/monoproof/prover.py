@@ -196,17 +196,15 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
 
 @dataclass(frozen=True)
 class ProofReport:
-    """Aggregate outcome of searching every shadowing system for one V.
+    """Aggregate outcome of searching every shadowing system for one V
+    under one SearchConfig.
 
     ``wall_clock_seconds`` is telemetry for the run manifest; it stays out of
     to_json() so that the report body is byte-stable for a fixed config.
     """
 
     V: int
-    base_seed: int
-    coeff_min: int
-    coeff_max: int
-    max_trials: int
+    config: SearchConfig
     systems: tuple[SystemResult, ...]
     wall_clock_seconds: float
 
@@ -240,9 +238,9 @@ class ProofReport:
         return {
             "V": self.V,
             "verdict": self.verdict,
-            "base_seed": self.base_seed,
-            "coeff_range": [self.coeff_min, self.coeff_max],
-            "max_trials": self.max_trials,
+            "base_seed": self.config.base_seed,
+            "coeff_range": [self.config.coeff_min, self.config.coeff_max],
+            "max_trials": self.config.max_trials,
             "systems": rows,
         }
 
@@ -260,9 +258,7 @@ def _search_task(args: tuple[ShadowSystem, SearchConfig]) -> SystemResult:
     return search_certificate(system, cfg)
 
 
-def prove_unsolvable(
-    V: int, cfg: Optional[SearchConfig] = None, jobs: int = 1
-) -> ProofReport:
+def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) -> ProofReport:
     """Search all (V-1)! systems; every one certified proves that no
     mono-unstable 0-skeleton with V vertices exists.
 
@@ -280,7 +276,6 @@ def prove_unsolvable(
                          f"V = {V} has {V - 1}! systems to hold in memory")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    cfg = cfg if cfg is not None else SearchConfig()
     started = time.perf_counter()
     tasks = [
         (system, replace(cfg, base_seed=(cfg.base_seed + system.system_id) & _SEED_MASK))
@@ -303,10 +298,7 @@ def prove_unsolvable(
                 )
     return ProofReport(
         V=V,
-        base_seed=cfg.base_seed,
-        coeff_min=cfg.coeff_min,
-        coeff_max=cfg.coeff_max,
-        max_trials=cfg.max_trials,
+        config=cfg,
         systems=tuple(results),
         wall_clock_seconds=time.perf_counter() - started,
     )

@@ -235,10 +235,13 @@ def nonneg_combination_exists(
         entering = next((c for c in range(n) if sum(row[c] for row in artificial) > 0), None)
         if entering is None:
             return False
-        r = min(
-            (i for i in range(m) if rows[i][entering] > 0),
-            key=lambda i: (Fraction(rows[i][-1], rows[i][entering]), basis[i]),
-        )
+        # minimum ratio t_i / a_i over a_i > 0, cross-multiplied, ties to the lowest basis index
+        r = None
+        for i in range(m):
+            a = rows[i][entering]
+            if a > 0 and (r is None or (rows[i][-1] * rows[r][entering], basis[i])
+                          < (rows[r][-1] * a, basis[r])):
+                r = i
         prev = _jordan_pivot(rows, r, entering, prev)
         basis[r] = entering
 

@@ -113,21 +113,32 @@ def _row_error(record: list[str], V: int, line: int) -> Optional[ParseError]:
         return ParseError(f"bad min_f: {exc}", line)
 
 
+def _records(reader):
+    """The csv reader's records; a csv error, such as a field over
+    csv.field_size_limit(), becomes a ParseError on the line it stopped at."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
 def parse_certificate_table(path: PathLike) -> CertificateTable:
     """Read and validate a certificate table from a CSV file.
 
     The vertex count is inferred from the header width.  Rows must appear in
     canonical order and cover every system exactly once; out-of-range j
     entries raise RangeError, everything else malformed raises ParseError,
-    both with the 1-based line number.
+    both with the 1-based line number.  Bytes that are not UTF-8 decode to
+    U+FFFD, which no field accepts, so they fail as a malformed field of
+    their line.
 
     Each row is read in one pass: its integer fields are converted at once,
     ShadowSystem checks the j ranges and TableRow the c signs.  Only a row
     that fails there is rescanned field by field (_row_error), so that the
     first bad field in column order is the one reported.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = _records(csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:

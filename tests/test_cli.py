@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import monoproof
 import monoproof.tables
 from monoproof import prover
-from monoproof.cli import main
+from monoproof.cli import build_parser, main
 from monoproof.tables import bundled_table_path
 
 
@@ -40,6 +41,8 @@ def test_verify_bundled_table(capsys):
     assert lines[-2] == "6/6 verified"
     manifest = json.loads(lines[-1])
     assert manifest["command"] == "verify"
+    assert manifest["arguments"] == {"table": "appendix_v4.csv"}
+    assert manifest["seed"] is None
     assert "appendix_v4.csv" in manifest["dataset_checksums"]
     assert len(manifest["dataset_checksums"]["appendix_v4.csv"]) == 64
     assert manifest["artifact_version"]
@@ -67,7 +70,9 @@ def test_verify_reports_first_mismatch(tmp_path, capsys):
     assert "system #1" in out and "MISMATCH" in out
     assert "expected 9999/7, computed " in out
     assert "1/6 verified before first mismatch" in out
-    json.loads(out.strip().splitlines()[-1])  # manifest still emitted
+    manifest = json.loads(out.strip().splitlines()[-1])  # manifest still emitted
+    assert manifest["arguments"] == {"table": str(bad)}
+    assert out.count('"command": "verify"') == 1
 
 
 def test_verify_missing_table(capsys):
@@ -115,8 +120,29 @@ def test_prove_v4_with_report_file(tmp_path, capsys):
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert manifest["command"] == "prove"
     assert manifest["seed"] == 1
-    assert manifest["arguments"]["vertices"] == 4
+    assert manifest["arguments"] == {"vertices": 4, "coeff_min": 1, "coeff_max": 101,
+                                     "max_trials": 100_000, "jobs": 1, "out": str(out_path)}
     assert manifest["wall_clock_seconds"] > 0
+
+
+def test_prove_rejects_an_unwritable_out_before_searching(tmp_path, capsys, monkeypatch):
+    def fail(V):
+        raise AssertionError("systems enumerated")
+
+    monkeypatch.setattr(prover, "enumerate_systems", fail)
+    for out_path in (tmp_path / "no" / "such" / "r.json", tmp_path):
+        code, out, err = run(capsys, "prove", "--vertices", "4", "--seed", "0",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(out_path) in err
+
+
+def test_prove_write_error_after_the_search_exits_2(tmp_path, capsys):
+    (tmp_path / "r.json.manifest.json").mkdir()  # the manifest cannot be written
+    code, out, err = run(capsys, "prove", "--vertices", "4", "--seed", "0",
+                         "--out", str(tmp_path / "r.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "r.json.manifest.json" in err
 
 
 def test_prove_stdout_mode_keeps_manifest_on_stderr(capsys):
@@ -127,6 +153,9 @@ def test_prove_stdout_mode_keeps_manifest_on_stderr(capsys):
     manifest = json.loads(err.strip().splitlines()[-1])
     assert manifest["command"] == "prove"
     assert manifest["seed"] == 1
+    assert set(manifest["arguments"]) == {"vertices", "coeff_min", "coeff_max",
+                                          "max_trials", "jobs", "out"}
+    assert manifest["arguments"]["out"] is None
 
 
 def test_prove_exhausted_budget_exits_nonzero(tmp_path, capsys):
@@ -217,21 +246,27 @@ def test_count_reports_shadowing_vertex(tmp_path, capsys):
 def test_count_faces(tmp_path, capsys):
     coords = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]
     cfg = write_json(tmp_path, {"d": 3, "kind": "faces", "coords": coords})
-    code, out, _ = run(capsys, "count", "--input", cfg, "--faces")
+    code, out, _ = run(capsys, "count", "--input", cfg)
     assert code == 0
     assert out.splitlines()[0] == "S = 4"
     assert out.count("equilibrium") == 4
 
 
 def test_count_kind_flag_mismatch(tmp_path, capsys):
+    """The input's kind picks the count; there is no flag to disagree with it."""
     vertices = write_json(tmp_path, {"d": 3, "kind": "vertices", "coords": TETRA},
                           name="v.json")
     faces = write_json(tmp_path, {"d": 3, "kind": "faces", "coords": TETRA},
                        name="f.json")
-    code, _, err = run(capsys, "count", "--input", vertices, "--faces")
-    assert code == 2 and "faces" in err
-    code, _, err = run(capsys, "count", "--input", faces)
-    assert code == 2 and "vertices" in err
+    code, out, _ = run(capsys, "count", "--input", vertices)
+    assert code == 0 and out.startswith("U = 4\nvertex 1: ")
+    code, out, err = run(capsys, "count", "--input", faces)
+    assert code == 0 and out.startswith("S = 4\nface 1: ") and err == ""
+    for path in (vertices, faces):
+        with pytest.raises(SystemExit) as info:
+            main(["count", "--input", path, "--faces"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --faces" in capsys.readouterr().err
 
 
 def test_count_rejects_float_coordinates(tmp_path, capsys):
@@ -284,7 +319,7 @@ GENERICITY_WARNING = ("warning: squared vertex norms are not pairwise distinct; 
      "vertex 4: equilibrium\n"
      "vertex 5: shadowed by vertex 1, 2\n"
      "vertex 6: equilibrium\n", ""),
-    (MIXED, "faces", ["--faces"],
+    (MIXED, "faces", [],
      "S = 4\n"
      "face 1: shadowed by face 5\n"
      "face 2: shadowed by face 5; degenerate contact with face 1\n"
@@ -427,6 +462,21 @@ def test_check_hull_rejects_deeply_nested_json(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- misc
+
+
+def test_readme_command_lines_parse():
+    """Every README line that starts with ``monoproof `` parses with the
+    current command line (nothing is run)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text("utf-8").splitlines()
+             if line.startswith("monoproof ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_version_flag(capsys):

@@ -57,6 +57,12 @@ def test_enumeration_is_canonical():
         assert keys == sorted(keys)
 
 
+def test_enumeration_rejects_fewer_than_three_vertices():
+    for V in (2, 0, -1):
+        with pytest.raises(ValueError, match="V >= 3"):
+            next(enumerate_systems(V))
+
+
 def test_system_id_mixed_radix():
     assert ShadowSystem(4, (1, 1, 1)).system_id == 0
     assert ShadowSystem(4, (1, 2, 3)).system_id == 5

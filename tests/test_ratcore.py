@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from fraction_reference import reference_det
 
+from monoproof import ratcore
 from monoproof.ratcore import (
     RatMatrix,
     RatVector,
@@ -161,6 +162,25 @@ def test_nonneg_combination_target_equal_to_a_column():
     assert nonneg_combination_exists(columns, RatVector([1, 0, 2]))
     assert not nonneg_combination_exists(columns, RatVector([-1, 0, 1]))
     assert not nonneg_combination_exists(columns[:1], RatVector([1, 0, 2]))
+
+
+def test_nonneg_combination_ratio_ties_go_to_the_lowest_basis_index(monkeypatch):
+    """At the third pivot rows 0 and 2 have exactly equal ratios.  Row 0's
+    basis is still its artificial column (index 3), row 2's is column 1, so
+    Bland's tie-break by basis index picks row 2; a tie-break by row index
+    would pick row 0."""
+    pivots = []
+    pivot = ratcore._jordan_pivot
+
+    def spy(rows, r, c, prev):
+        pivots.append((r, c))
+        return pivot(rows, r, c, prev)
+
+    monkeypatch.setattr(ratcore, "_jordan_pivot", spy)
+    columns = [[0, 0, -1], [0, "-1/2", 1], ["1/2", "-1/2", 1]]
+    target = [1, -1, 0]
+    assert nonneg_combination_exists([RatVector(c) for c in columns], RatVector(target))
+    assert pivots == [(2, 1), (1, 0), (2, 2)]
 
 
 def test_pd_known_cases():

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -80,6 +81,25 @@ def test_empty_file(tmp_path):
     with pytest.raises(ParseError, match="empty file") as info:
         parse_certificate_table(path)
     assert info.value.line == 1
+
+
+def test_bytes_that_are_not_utf8_fail_on_their_line(tmp_path):
+    lines = [line.encode("utf-8") for line in bundled_lines()]
+    lines[3] = lines[3].replace(b",", b",\xff", 1)  # into j_4 of line 4
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match="j_4 must be an integer") as info:
+        parse_certificate_table(path)
+    assert info.value.line == 4
+
+
+def test_field_over_the_csv_size_limit_fails_on_its_line(tmp_path):
+    lines = bundled_lines()
+    lines[2] += "9" * (csv.field_size_limit() + 1)
+    path = write_table(tmp_path, lines)
+    with pytest.raises(ParseError, match="field larger than field limit") as info:
+        parse_certificate_table(path)
+    assert info.value.line == 3
 
 
 def test_header_name_mismatch(tmp_path):
