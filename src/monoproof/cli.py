@@ -28,7 +28,12 @@ from monoproof.equilibria import (
     vertex_shadow_matrix,
 )
 from monoproof.expansion import enumerate_systems
-from monoproof.prover import SearchConfig, prove_unsolvable, verify_certificate
+from monoproof.prover import (
+    SearchConfig,
+    check_proof_vertices,
+    prove_unsolvable,
+    verify_certificate,
+)
 from monoproof.ratcore import format_rational
 from monoproof.tables import (
     BUNDLED_VERTEX_COUNTS,
@@ -123,6 +128,7 @@ def cmd_prove(ns: argparse.Namespace) -> int:
             max_trials=ns.max_trials,
             base_seed=ns.seed,
         )
+        check_proof_vertices(ns.vertices)  # a refused V leaves no --out behind
         if ns.out:
             open(ns.out, "a").close()  # an unwritable --out fails before the search
         report = prove_unsolvable(ns.vertices, cfg, jobs=ns.jobs)

@@ -25,7 +25,9 @@ with equality when axis 1 holds the minimizer and every other axis is 0.
 The sum is then positive at every configuration but r = 0, so the
 inequalities Q_i <= 0 cannot all hold and the system has no solution in any
 dimension.  The 3-dimensional frame of the paper adds nothing to this
-test, so everything here lives on one axis.
+test, so everything here lives on one axis.  prover.verify_certificate
+checks certificates on G(c); the search decides its trials on the tree
+i -> j(i) without building G(c), except at a zero pivot (see prover).
 
 QuadraticForm is the exact-rational view of g_c over the V-2 free
 coordinates x = (t_2, ..., t_(V-1)) of that axis at t_1 = 1.

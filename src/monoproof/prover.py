@@ -6,22 +6,28 @@ c_2..c_V whose weighted inequality sum f = sum_i c_i Q_i is strictly convex
 solution of the system would make f nonpositive, so a certificate proves
 unsolvability.
 
-Every check runs on the (V-1) x (V-1) integer matrix G(c) of one axis (see
+Verification runs on the (V-1) x (V-1) integer matrix G(c) of one axis (see
 expansion).  c is a certificate exactly when all V-1 leading minors
 d_1..d_(V-1) of G(c) are positive.  Then the one-axis form g_c is positive
 definite on {sum t = 0} with minimum d_(V-1) / (2 d_(V-2)) at t_1 = 1, and
 since f is g_c summed over the coordinate axes, f >= that minimum times
 |r_1|^2 in every dimension: the certificate refutes its system for
 0-skeletons in R^d for all d, not only in R^3.  One pass of
-ratcore.symmetric_bareiss yields those minors.  A trial that fails at a
-minor k <= V-2 has a Hessian that is not positive definite; one that fails
-only at d_(V-1) has a nonpositive minimum.  The minimizer, the V-2 free
-coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, is computed only for
-accepted weights, by fraction-free back substitution; Fractions appear only
-in the returned values.  verify_certificate then audits the result on the
-geometry itself: it rebuilds the scaled vertices t_1..t_V from the
-minimizer and checks the value and the zero gradient of
-sum_i c_i (t_i^2 - t_i t_j(i)) over x in integers.
+ratcore.symmetric_bareiss yields those minors, and the minimizer, the V-2
+free coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, comes from
+fraction-free back substitution; Fractions appear only in the returned
+values.  verify_certificate then audits the result on the geometry itself:
+it rebuilds the scaled vertices t_1..t_V from the minimizer and checks the
+value and the zero gradient of sum_i c_i (t_i^2 - t_i t_j(i)) over x in
+integers.
+
+The search decides each trial in O(V) integer steps instead, by eliminating
+the leaves of the system's tree (_tree_trial), with the same classes: a
+Hessian that is not positive definite, a nonpositive minimum, or a
+certificate with its exact minimum and minimizer.  It builds G(c) only for a
+draw where that sweep meets a zero pivot, a fraction of a percent of draws
+(_dense_trial), so prove_unsolvable's re-verification repeats the search's
+arithmetic only for a certificate found at such a draw.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister);
@@ -45,6 +51,7 @@ from typing import Optional, Sequence, Union
 from monoproof.ratcore import RatVector, homogeneous_solution, symmetric_bareiss
 from monoproof.expansion import (
     ShadowSystem,
+    _axis_matrix,
     enumerate_systems,
     scaled_vertices,
     weighted_matrix,
@@ -157,33 +164,97 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     )
 
 
+def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
+    """Decide one trial along the system's tree in O(V) integer steps.
+
+    With t_1 = 0, 2 g_c restricted to {sum t = 0} is positive definite
+    exactly when the bordered matrix [[M, 1], [1^T, 0]] of 2 g_c over
+    t_2..t_V has one negative eigenvalue and no zero one (Gould, Math. Prog.
+    32, 1985), and its pivots carry its inertia (Haynsworth, 1968).  As
+    j(i) < i, eliminating t_V, ..., t_2 removes a leaf each time, with no
+    fill-in (Parter, SIAM Rev. 3, 1961): vertex i only updates its parent's
+    diagonal num/den and border entry bn/den, and passes up the border
+    corner's share sn/den of its subtree.  Two negative pivots already decide
+    "non_pd", as the eliminated block is a principal submatrix.  t_1 goes
+    last, and its Schur complement is 2 g_c at t_1 = 1 minimized.  Back
+    substitution along the tree then gives U = beta * x, integral by
+    Cramer's rule, since beta is the determinant of the bordered matrix.
+
+    Returns None at a zero pivot, where the dense path decides; otherwise
+    "non_pd", "negative", or a certificate's (min_value, minimizer).
+    """
+    V = len(coeffs) + 1
+    num = [0, 0, *(2 * c for c in coeffs)]  # indexed by vertex, 1..V
+    den, bn, sn = [1] * (V + 1), [1] * (V + 1), [0] * (V + 1)
+    negatives = 0
+    for i in range(V, 1, -1):
+        P, C, B = num[i], den[i], bn[i]
+        if not P:
+            return None
+        if (P > 0) != (C > 0):
+            negatives += 1
+            if negatives == 2:
+                return "non_pd"
+        p, c = j[i - 2], coeffs[i - 2]
+        Dp = den[p]
+        S = (B * B + P * sn[i]) // C
+        num[p] = num[p] * P - c * c * C * Dp
+        bn[p] = bn[p] * P + c * B * Dp
+        sn[p] = sn[p] * P + S * Dp
+        den[p] = Dp * P
+    beta, P1, B1, C1 = -sn[1], num[1], bn[1], den[1]
+    if not beta:
+        return None
+    if negatives + ((beta > 0) != (C1 > 0)) != 1:
+        return "non_pd"
+    top, bottom = P1 * beta - B1 * B1, 2 * C1 * beta
+    if top == 0 or (top > 0) != (bottom > 0):
+        return "negative"
+    U = [0, beta, *[0] * (V - 2)]
+    for k in range(2, V):
+        U[k] = (coeffs[k - 2] * den[k] * U[j[k - 2]] + bn[k] * B1) // num[k]
+    return Fraction(top, bottom), RatVector(Fraction(u, beta) for u in U[2:V])
+
+
+def _dense_trial(system: ShadowSystem, coeffs: Sequence[int]):
+    """The same decision from one symmetric Bareiss pass on G(c), for the
+    draws where _tree_trial meets a zero pivot.  The search drew coeffs from
+    a validated SearchConfig, so G(c) is built without rechecking them."""
+    m = _axis_matrix(system, coeffs)
+    positive_minors = symmetric_bareiss(m)
+    if positive_minors < system.V - 2:
+        return "non_pd"
+    if positive_minors == system.V - 2:
+        return "negative"
+    X, D = homogeneous_solution(m)
+    return Fraction(m[-1][0], 2 * D), RatVector(Fraction(x, D) for x in X)
+
+
 def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     """Randomized certificate search for one system.
 
-    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] and run
-    one symmetric Bareiss pass on G(c).  A failing minor among the first V-2
-    counts as non-PD, a failing last minor as a nonpositive minimum.  Returns
-    the first Certificate found, or Exhausted with per-failure-kind counters
-    after max_trials draws.
+    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] and
+    decide it with _tree_trial, or with _dense_trial at a zero pivot.  A
+    Hessian that is not positive definite counts as non-PD, a nonpositive
+    minimum as negative.  Returns the first Certificate found, or Exhausted
+    with per-failure-kind counters after max_trials draws.
     """
-    n = system.V - 2
     rng = random.Random(cfg.base_seed)
     negative, non_pd = 0, 0
     for trial in range(1, cfg.max_trials + 1):
         coeffs = tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(system.V - 1))
-        m = weighted_matrix(system, coeffs)
-        positive_minors = symmetric_bareiss(m)
-        if positive_minors < n:
+        outcome = _tree_trial(system.j, coeffs) or _dense_trial(system, coeffs)
+        if outcome == "non_pd":
             non_pd += 1
-        elif positive_minors == n:
+        elif outcome == "negative":
             negative += 1
         else:
-            X, D = homogeneous_solution(m)
+            min_value, minimizer = outcome
             return Certificate(
                 system=system,
                 coeffs=coeffs,
-                minimizer=RatVector(Fraction(x, D) for x in X),
-                min_value=Fraction(m[-1][0], 2 * D),
+                minimizer=minimizer,
+                min_value=min_value,
                 trials=trial,
             )
     return Exhausted(
@@ -258,6 +329,15 @@ def _search_task(args: tuple[ShadowSystem, SearchConfig]) -> SystemResult:
     return search_certificate(system, cfg)
 
 
+def check_proof_vertices(V: int) -> None:
+    """Refuse, with ValueError, a proof run outside V = 4..MAX_PROOF_VERTICES."""
+    if V < 4:
+        raise ValueError("proof runs start at V = 4")
+    if V > MAX_PROOF_VERTICES:
+        raise ValueError(f"proof runs stop at V = {MAX_PROOF_VERTICES}: "
+                         f"V = {V} has {V - 1}! systems to hold in memory")
+
+
 def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) -> ProofReport:
     """Search all (V-1)! systems; every one certified proves that no
     mono-unstable 0-skeleton with V vertices exists.
@@ -269,11 +349,7 @@ def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) 
     with a cap of 1 the search runs in this process.  V above
     MAX_PROOF_VERTICES is refused before any system is enumerated.
     """
-    if V < 4:
-        raise ValueError("proof runs start at V = 4")
-    if V > MAX_PROOF_VERTICES:
-        raise ValueError(f"proof runs stop at V = {MAX_PROOF_VERTICES}: "
-                         f"V = {V} has {V - 1}! systems to hold in memory")
+    check_proof_vertices(V)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     started = time.perf_counter()

@@ -204,6 +204,22 @@ def test_prove_rejects_a_vertex_count_past_the_cap(capsys, monkeypatch):
     assert err.startswith("error:") and "V = 13" in err
 
 
+def test_prove_past_the_cap_leaves_no_out_file(tmp_path, capsys):
+    """The V cap is checked before the --out write probe: a refused run
+    creates no report file and leaves an existing one byte for byte."""
+    out_path = tmp_path / "capped.json"
+    code, out, err = run(capsys, "prove", "--vertices", "11", "--seed", "0",
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: proof runs stop at V = 10")
+    assert not out_path.exists()
+    out_path.write_bytes(b'{"an": "earlier report"}\n')
+    code, _, _ = run(capsys, "prove", "--vertices", "11", "--seed", "0",
+                     "--out", str(out_path))
+    assert code == 2
+    assert out_path.read_bytes() == b'{"an": "earlier report"}\n'
+
+
 def test_prove_rejects_bad_coeff_range(capsys):
     code, _, err = run(capsys, "prove", "--vertices", "4", "--seed", "0",
                        "--coeff-min", "7", "--coeff-max", "3")

@@ -25,7 +25,13 @@ from monoproof.prover import (
     search_certificate,
     verify_certificate,
 )
-from monoproof.ratcore import RatMatrix, RatVector, solve_linear
+from monoproof.ratcore import (
+    RatMatrix,
+    RatVector,
+    homogeneous_solution,
+    solve_linear,
+    symmetric_bareiss,
+)
 from monoproof.tables import bundled_table_path, parse_certificate_table
 
 # published certificate rows used as exact fixtures: (V, choices, coeffs, min)
@@ -541,3 +547,127 @@ def test_prove_through_the_real_pool_on_any_core_count(monkeypatch):
     monkeypatch.setattr(prover.os, "cpu_count", lambda: 2)
     assert prove_unsolvable(5, cfg, jobs=2).to_json() == serial
     assert started == [(ProcessPoolExecutor, 2)]
+
+
+# sha256 of the sorted-key body of prove_unsolvable(V) at seed 0 for the two
+# largest proofs the tests run, recorded from the dense-matrix search that
+# preceded the tree sweep: 720 systems in 6,673 trials at V = 7, and 5,040
+# systems in 205,315 trials at V = 8 (at most 2,190 for one system).
+PINNED_LARGEST_REPORTS = {
+    7: "1bcfcff5e9a7bc3dec89480ce83d4dabc3a70dc5302105052769132b37f54d73",
+    8: "b075cc2fce157dad59f72fec9918c39468d248b22ab8450c1c3734f16bb423fc",
+}
+
+
+@pytest.mark.parametrize("V", sorted(PINNED_LARGEST_REPORTS))
+def test_largest_prove_report_bodies_are_pinned(V):
+    report = prove_unsolvable(V, SearchConfig(base_seed=0))
+    assert report.all_certified
+    body = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == PINNED_LARGEST_REPORTS[V]
+
+
+def dense_decision(system, coeffs):
+    """A trial decided on G(c) as verification does: the class from one
+    symmetric Bareiss pass, and a certificate's exact minimum and minimizer
+    from fraction-free back substitution."""
+    m = expansion.weighted_matrix(system, coeffs)
+    positive_minors = symmetric_bareiss(m)
+    if positive_minors < system.V - 2:
+        return "non_pd"
+    if positive_minors == system.V - 2:
+        return "negative"
+    X, D = homogeneous_solution(m)
+    return Fraction(m[-1][0], 2 * D), RatVector(Fraction(x, D) for x in X)
+
+
+def dense_search(system, cfg):
+    """search_certificate with every trial decided by dense_decision."""
+    rng = random.Random(cfg.base_seed)
+    negative = non_pd = 0
+    for trial in range(1, cfg.max_trials + 1):
+        coeffs = tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(system.V - 1))
+        outcome = dense_decision(system, coeffs)
+        if outcome == "non_pd":
+            non_pd += 1
+        elif outcome == "negative":
+            negative += 1
+        else:
+            return Certificate(system, coeffs, outcome[1], outcome[0], trial)
+    return Exhausted(system, cfg.max_trials, negative, non_pd)
+
+
+def test_tree_sweep_agrees_with_the_dense_path():
+    """The sweep's class, and on accepted draws its exact minimum and
+    minimizer, equal the dense path's on seeded draws at V = 4..10.  Small
+    coefficient spans make certificates and zero pivots common enough to
+    reach at every V."""
+    rng = random.Random(73)
+    outcomes = Counter()
+    for V in range(4, 11):
+        for _ in range(300):
+            system = ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
+            top = rng.choice((5, 101, 3000))
+            coeffs = tuple(rng.randint(1, top) for _ in range(V - 1))
+            got = prover._tree_trial(system.j, coeffs)
+            if got is None:
+                outcomes["zero pivot"] += 1
+                continue
+            assert got == dense_decision(system, coeffs), (system.j, coeffs)
+            outcomes[got if isinstance(got, str) else "certified"] += 1
+    assert min(outcomes[kind] for kind in ("non_pd", "negative", "certified")) > 0, outcomes
+
+
+def test_tree_sweep_on_every_bundled_row():
+    """All 870 bundled rows: the sweep certifies each with the table's min_f
+    and verify_certificate's minimizer."""
+    rows = 0
+    for V in (4, 5, 6, 7):
+        for row in parse_certificate_table(bundled_table_path(V)).rows:
+            min_value, minimizer = prover._tree_trial(row.system.j, row.coeffs)
+            assert min_value == row.min_f
+            assert minimizer == verify_certificate(V, row.system, row.coeffs).minimizer
+            rows += 1
+    assert rows == 870
+
+
+def test_a_zero_pivot_falls_back_to_the_dense_path(monkeypatch):
+    """On the chain j = (1, 2, 3) with c = (1, 1, 4), c_4 = 4 c_3 makes
+    vertex 3's pivot 2 c_3 - c_4^2 / (2 c_4) zero: the sweep hands the draw
+    to _dense_trial, which gives the dense answer.  Searches over a narrow
+    range meet such draws and still match a dense search exactly."""
+    chain = ShadowSystem(4, (1, 2, 3))
+    assert prover._tree_trial(chain.j, (1, 1, 4)) is None
+    assert prover._dense_trial(chain, (1, 1, 4)) == dense_decision(chain, (1, 1, 4))
+    fallback = prover._dense_trial
+    calls = []
+
+    def counting(system, coeffs):
+        calls.append(coeffs)
+        return fallback(system, coeffs)
+
+    monkeypatch.setattr(prover, "_dense_trial", counting)
+    systems = (chain, ShadowSystem(5, (1, 1, 2, 3)), ShadowSystem(6, (1, 2, 2, 3, 1)))
+    for system in systems:
+        for seed in range(40):
+            cfg = SearchConfig(coeff_min=1, coeff_max=4, max_trials=30, base_seed=seed)
+            assert search_certificate(system, cfg) == dense_search(system, cfg)
+    assert len(calls) >= 10
+    by_length = {system.V - 1: system for system in systems}
+    assert all(prover._tree_trial(by_length[len(c)].j, c) is None for c in calls)
+
+
+def test_search_counters_match_a_dense_search():
+    """With a small budget, every 3rd V = 7 system (240) gives the same
+    Exhausted counters, or the same Certificate, as a dense search."""
+    results = Counter()
+    for system in list(enumerate_systems(7))[::3]:
+        cfg = SearchConfig(max_trials=6, base_seed=system.system_id)
+        got = search_certificate(system, cfg)
+        assert got == dense_search(system, cfg)
+        results[type(got).__name__] += 1
+        if isinstance(got, Exhausted):
+            results["negative"] += got.negative_minima_seen
+            results["non_pd"] += got.non_pd_seen
+    assert sum(results[kind] for kind in ("Certificate", "Exhausted")) == 240
+    assert min(results.values()) > 0, results

@@ -87,3 +87,17 @@ def test_import_cost_reads_importtime_output():
         "    2.09  json  (monoproof.equilibria)",
         "    1.90  argparse  (monoproof.cli)",
     ]
+
+
+def test_trial_core_reports_no_mismatch(capsys):
+    assert load_tool("trial_core").main(["--draws", "20", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [f"V={V}" for V in range(5, 11)]
+    assert all(line.endswith("mismatches 0") for line in lines)
+
+
+def test_trial_core_exits_1_on_a_mismatch(capsys, monkeypatch):
+    tool = load_tool("trial_core")
+    monkeypatch.setattr(tool.prover, "_tree_trial", lambda j, coeffs: "negative")
+    assert tool.main(["--draws", "20"]) == 1
+    assert "mismatches 0" not in capsys.readouterr().out
