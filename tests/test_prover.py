@@ -634,19 +634,25 @@ def test_tree_sweep_on_every_bundled_row():
 def test_a_zero_pivot_falls_back_to_the_dense_path(monkeypatch):
     """On the chain j = (1, 2, 3) with c = (1, 1, 4), c_4 = 4 c_3 makes
     vertex 3's pivot 2 c_3 - c_4^2 / (2 c_4) zero: the sweep hands the draw
-    to _dense_trial, which gives the dense answer.  Searches over a narrow
-    range meet such draws and still match a dense search exactly."""
+    to verify_certificate, and the search gets the dense answer, as it does
+    where every draw meets a zero pivot.  Searches over a narrow range meet
+    such draws and still match a dense search exactly."""
     chain = ShadowSystem(4, (1, 2, 3))
     assert prover._tree_trial(chain.j, (1, 1, 4)) is None
-    assert prover._dense_trial(chain, (1, 1, 4)) == dense_decision(chain, (1, 1, 4))
-    fallback = prover._dense_trial
+    fallback = prover.verify_certificate
     calls = []
 
-    def counting(system, coeffs):
+    def counting(V, system, coeffs):
         calls.append(coeffs)
-        return fallback(system, coeffs)
+        return fallback(V, system, coeffs)
 
-    monkeypatch.setattr(prover, "_dense_trial", counting)
+    monkeypatch.setattr(prover, "verify_certificate", counting)
+    # vertex 2's four leaves cancel its pivot 2 c_2 - 4 c^2 / (2 c) at c = 1
+    forced = ShadowSystem(6, (1, 2, 2, 2, 2))
+    cfg = SearchConfig(coeff_min=1, coeff_max=1, max_trials=2)
+    assert search_certificate(forced, cfg) == dense_search(forced, cfg)
+    assert calls and set(calls) == {(1,) * 5}
+    calls.clear()
     systems = (chain, ShadowSystem(5, (1, 1, 2, 3)), ShadowSystem(6, (1, 2, 2, 3, 1)))
     for system in systems:
         for seed in range(40):

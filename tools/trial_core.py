@@ -12,10 +12,10 @@ It prints the microseconds per trial of each (the fastest of five passes
 over the draws), the number of zero pivots (the draws the search hands to
 the dense path), and the number of mismatches: draws where the sweep's
 class, or on a certificate its exact minimum or minimizer, differs from
-that of ``prover._dense_trial``, the dense decision the search falls back
-on, run outside the timing.
+that of ``prover.verify_certificate``, which the search falls back on at a
+zero pivot, run outside the timing.
 
-    python3 tools/trial_core.py [--draws N] [--seed S]
+    python3 tools/trial_core.py [--draws N]
 
 exits 1 on any mismatch.
 """
@@ -48,6 +48,16 @@ def draws(V: int, count: int, rng: random.Random) -> list:
     ]
 
 
+def dense_outcome(system: ShadowSystem, coeffs: tuple) -> object:
+    """A trial's class from verify_certificate, in _tree_trial's terms."""
+    check = prover.verify_certificate(system.V, system, coeffs)
+    if not check.hessian_pd:
+        return "non_pd"
+    if not check.positive:
+        return "negative"
+    return check.min_value, check.minimizer
+
+
 def measure(cases: list) -> tuple[float, float, int, int]:
     """(sweep us, dense us, zero pivots, mismatches) over ``cases``.
 
@@ -74,7 +84,7 @@ def measure(cases: list) -> tuple[float, float, int, int]:
         if got is None:
             zeros += 1
         else:
-            mismatches += got != prover._dense_trial(system, coeffs)
+            mismatches += got != dense_outcome(system, coeffs)
     per_trial = 1e6 / len(cases)
     return sweep_s * per_trial, dense_s * per_trial, zeros, mismatches
 
@@ -82,11 +92,10 @@ def measure(cases: list) -> tuple[float, float, int, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=2000, help="draws per V")
-    parser.add_argument("--seed", type=int, default=0)
     ns = parser.parse_args(argv)
     if ns.draws < 1:
         parser.error("--draws must be at least 1")
-    rng = random.Random(ns.seed)
+    rng = random.Random(0)
     total = 0
     for V in VERTEX_COUNTS:
         sweep_us, dense_us, zeros, mismatches = measure(draws(V, ns.draws, rng))
