@@ -6,11 +6,11 @@ unstable equilibrium iff no other vertex "shadows" it, i.e. iff
 vectors q_i (foot of the perpendicular from the center of mass).
 
 A configuration's dimension is the common length of its vectors.  All
-signs come from one integer kernel.  It clears denominators once per
-configuration with ratcore.clear_denominators, R_i = L * r_i with L the lcm
-of every coordinate denominator, and returns
-K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every sign,
-zeros (degenerate contacts) included, so K on the vertices is the vertex
+signs come from one integer kernel on rows cleared once per configuration
+with ratcore.clear_denominators, R_i = L * r_i with L the lcm of every
+coordinate denominator (a PointConfig keeps its cleared rows), and it
+returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every
+sign, zeros (degenerate contacts) included, so K on the vertices is the vertex
 shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
 shadow matrix is K on the face vectors, transposed.  The hull test and the
 genericity check read the same cleared rows.  Norm comparisons use squared
@@ -23,10 +23,11 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from monoproof.ratcore import RatVector, RationalLike, clear_denominators, nonneg_combination_exists
+from monoproof.ratcore import RatVector, RationalLike, clear_denominators, nonneg_solution_exists
 
 
 class DegenerateSimplex(ValueError):
@@ -64,10 +65,18 @@ class PointConfig:
     def V(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(R, L) with R_i = L * r_i and L the lcm of every coordinate
+        denominator, computed on first use: the kernel, the genericity check
+        and every hull query of this configuration read the same rows."""
+        rows, L = clear_denominators(self.vertices)
+        return tuple(map(tuple, rows)), L
+
     @property
     def is_generic(self) -> bool:
         """True when all squared vertex norms are pairwise distinct."""
-        norms = [_dot(R, R) for R in clear_denominators(self.vertices)[0]]
+        norms = [_dot(R, R) for R in self.cleared[0]]
         return len(set(norms)) == len(norms)
 
 
@@ -114,28 +123,27 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _shadow_kernel(vectors: Sequence[RatVector]) -> list[list[int]]:
-    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on the cleared rows, read off their
+def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on cleared rows R, read off their
     Gram matrix; the diagonal is sign(0) = 0 by construction."""
-    rows, _ = clear_denominators(vectors)
     gram = [[_dot(R, S) for S in rows] for R in rows]
     return [[_sign(g[a] - x) for x in g] for a, g in enumerate(gram)]
 
 
 def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:
     """sign((r_i - r_j).r_i); -1 means p_i is shadowed by p_j."""
-    return _shadow_kernel((r_i, r_j))[0][1]
+    return _shadow_kernel(clear_denominators((r_i, r_j))[0])[0][1]
 
 
 def vertex_shadow_matrix(cfg: PointConfig) -> ShadowMatrix:
     """Entry (i,j) = sign((r_i - r_j).r_i): the kernel on the vertices."""
-    return ShadowMatrix(tuple(map(tuple, _shadow_kernel(cfg.vertices))))
+    return ShadowMatrix(tuple(map(tuple, _shadow_kernel(cfg.cleared[0]))))
 
 
 def face_shadow_matrix(cfg: FaceConfig) -> ShadowMatrix:
     """Dual sign matrix: entry (i,j) = sign((q_j - q_i).q_j), the kernel on
     the face vectors transposed."""
-    return ShadowMatrix(tuple(zip(*_shadow_kernel(cfg.faces))))
+    return ShadowMatrix(tuple(zip(*_shadow_kernel(clear_denominators(cfg.faces)[0]))))
 
 
 def unstable_vertices(cfg: PointConfig) -> list[int]:
@@ -212,16 +220,15 @@ def dawson_tips(x_i: RatVector, x_j: RatVector) -> bool:
 def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
     """True iff vertex i is NOT a convex combination of the other vertices.
 
-    Homogenized on the kernel's cleared rows R_j = L * r_j, that asks
-    whether (R_i, L) is a nonnegative combination of the integer columns
-    (R_j, L), j != i (the weights then sum to 1), which the exact phase-I
-    simplex ``ratcore.nonneg_combination_exists`` decides.
+    Homogenized on the configuration's cleared rows R_j = L * r_j, that
+    asks whether (R_i, L) is a nonnegative combination of the integer
+    columns (R_j, L), j != i (the weights then sum to 1), which the exact
+    phase-I simplex ``ratcore.nonneg_solution_exists`` decides.
     """
     if not 0 <= i < cfg.V:
         raise IndexError(f"vertex index {i} out of range")
-    rows, L = clear_denominators(cfg.vertices)
-    columns = [[*R, L] for j, R in enumerate(rows) if j != i]
-    return not nonneg_combination_exists(columns, [*rows[i], L])
+    rows, L = cfg.cleared
+    return not nonneg_solution_exists([*zip(*rows[:i], *rows[i + 1:], rows[i]), (L,) * cfg.V])
 
 
 def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig]:

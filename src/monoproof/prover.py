@@ -15,8 +15,11 @@ since f is g_c summed over the coordinate axes, f >= that minimum times
 0-skeletons in R^d for all d, not only in R^3.  One pass of
 ratcore.symmetric_bareiss yields those minors, and the minimizer, the V-2
 free coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, comes from
-fraction-free back substitution; Fractions appear only in the returned
-values.  verify_certificate then audits the result on the geometry itself:
+fraction-free back substitution.  The minimum is returned as a Fraction,
+the minimizer as integer numerators over one positive denominator in lowest
+terms (a RatVector only when read as ``minimizer``), so the search and
+re-verification compare integers.  verify_certificate then audits the
+result on the geometry itself:
 it rebuilds the scaled vertices t_1..t_V from the minimizer and checks the
 value and the zero gradient of sum_i c_i (t_i^2 - t_i t_j(i)) over x in
 integers.
@@ -24,30 +27,33 @@ integers.
 The search decides each trial in O(V) integer steps instead, by eliminating
 the leaves of the system's tree (_tree_trial), with the same classes: a
 Hessian that is not positive definite, a nonpositive minimum, or a
-certificate with its exact minimum and minimizer.  Only a draw where that
-sweep meets a zero pivot, a fraction of a percent of draws, is decided by
-verify_certificate on G(c).
+certificate with its exact minimum and minimizer, all in integers.  Only
+a draw where that sweep meets a zero pivot, a fraction of a percent of
+draws, is decided by verify_certificate on G(c).
 
 The randomized search draws coefficient tuples uniformly from
-[coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister);
-each system gets its own stream seeded with (base_seed + system_id) mod 2**64,
-so reports are reproducible for a fixed seed and independent of worker count.
+[coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister),
+by the rejection sampling on getrandbits that randint runs, without its
+per-call argument checks (_draws); each system gets its own stream seeded
+with (base_seed + system_id) mod 2**64, so reports are reproducible for a
+fixed seed and independent of worker count.
 
 The worker pool (concurrent.futures, and with it multiprocessing) is imported
 only when prove_unsolvable first runs with more than one worker, so that
 importing monoproof for verify, count or a serial prove stays cheap; for
-the same reason Exhausted and VerifyResult are named tuples, which build at
-import about four times faster than frozen dataclasses.
+the same reason Certificate, Exhausted and VerifyResult are named tuples,
+which build at import about four times faster than frozen dataclasses.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from monoproof.ratcore import RatVector, homogeneous_solution, symmetric_bareiss
 from monoproof.expansion import ShadowSystem, enumerate_systems, scaled_vertices, weighted_matrix
@@ -75,17 +81,32 @@ class SearchConfig:
             raise ValueError("max_trials must be at least 1")
 
 
-@dataclass(frozen=True)
-class Certificate:
+def _lowest_terms(X: Sequence[int], D: int) -> tuple[tuple[int, ...], int]:
+    """The vector X / D as integer numerators over one positive denominator,
+    in lowest terms: both divided by gcd(D, *X), with the sign of D."""
+    g = math.gcd(D, *X)
+    if D < 0:
+        g = -g
+    return tuple([x // g for x in X]), D // g
+
+
+class Certificate(NamedTuple):
     """Proof that one shadowing system is unsolvable: positive integer
-    coefficients with PD Hessian, exact minimizer x = (t_2, ..., t_(V-1)) at
-    t_1 = 1, and positive minimum."""
+    coefficients with PD Hessian, positive exact minimum, and the exact
+    minimizer x = (t_2, ..., t_(V-1)) at t_1 = 1 as integer numerators
+    minimizer_num over one positive denominator minimizer_den, in lowest
+    terms.  ``minimizer`` builds x as a RatVector on access."""
 
     system: ShadowSystem
     coeffs: tuple[int, ...]
-    minimizer: RatVector
+    minimizer_num: tuple[int, ...]
+    minimizer_den: int
     min_value: Fraction
     trials: int = 1
+
+    @property
+    def minimizer(self) -> RatVector:
+        return RatVector(Fraction(x, self.minimizer_den) for x in self.minimizer_num)
 
 
 class Exhausted(NamedTuple):
@@ -101,12 +122,22 @@ SystemResult = Union[Certificate, Exhausted]
 
 
 class VerifyResult(NamedTuple):
-    """Deterministic recheck of a coefficient tuple for one system."""
+    """Deterministic recheck of a coefficient tuple for one system.  With a
+    PD Hessian it holds the exact minimum and, as in Certificate, the
+    minimizer's numerators over one positive denominator in lowest terms;
+    ``minimizer`` builds it as a RatVector on access."""
 
     hessian_pd: bool
     min_value: Optional[Fraction]
     positive: bool
-    minimizer: Optional[RatVector] = None
+    minimizer_num: Optional[tuple[int, ...]] = None
+    minimizer_den: Optional[int] = None
+
+    @property
+    def minimizer(self) -> Optional[RatVector]:
+        if self.minimizer_num is None:
+            return None
+        return RatVector(Fraction(x, self.minimizer_den) for x in self.minimizer_num)
 
 
 def _audit(system: ShadowSystem, coeffs: Sequence[int], X: list[int], D: int, d_last: int) -> None:
@@ -149,12 +180,7 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     X, D = homogeneous_solution(m)
     d_last = m[-1][0]
     _audit(system, coeffs, X, D, d_last)
-    return VerifyResult(
-        hessian_pd=True,
-        min_value=Fraction(d_last, 2 * D),
-        positive=d_last > 0,
-        minimizer=RatVector(Fraction(x, D) for x in X),
-    )
+    return VerifyResult(True, Fraction(d_last, 2 * D), d_last > 0, *_lowest_terms(X, D))
 
 
 def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
@@ -174,7 +200,10 @@ def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
     Cramer's rule, since beta is the determinant of the bordered matrix.
 
     Returns None at a zero pivot, where the dense path decides; otherwise
-    "non_pd", "negative", or a certificate's (min_value, minimizer).
+    "non_pd", "negative", or, for a certificate, integers (top, bottom, num,
+    den): the exact minimum top / bottom, and the minimizer's numerators
+    over one positive denominator in lowest terms, as verify_certificate
+    gives them.
     """
     V = len(coeffs) + 1
     num = [0, 0, *(2 * c for c in coeffs)]  # indexed by vertex, 1..V
@@ -206,40 +235,55 @@ def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
     U = [0, beta, *[0] * (V - 2)]
     for k in range(2, V):
         U[k] = (coeffs[k - 2] * den[k] * U[j[k - 2]] + bn[k] * B1) // num[k]
-    return Fraction(top, bottom), RatVector(Fraction(u, beta) for u in U[2:V])
+    return (top, bottom, *_lowest_terms(U[2:V], beta))
+
+
+def _draws(rng: random.Random, cfg: SearchConfig, size: int) -> Iterator[tuple[int, ...]]:
+    """Endless coefficient tuples of ``size`` entries, each the value
+    rng.randint(coeff_min, coeff_max) would give on CPython 3.10-3.13:
+    coeff_min + r for the first r = rng.getrandbits(k) below the range's
+    width n, with k the bit length of n.  The stream is randint's, without
+    its argument checks on every call."""
+    getrandbits = rng.getrandbits
+    low, n = cfg.coeff_min, cfg.coeff_max - cfg.coeff_min + 1
+    k = n.bit_length()
+    slots = range(size)
+    while True:
+        coeffs = []
+        for _ in slots:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            coeffs.append(low + r)
+        yield tuple(coeffs)
 
 
 def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     """Randomized certificate search for one system.
 
-    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] and
-    decide it with _tree_trial, or with verify_certificate at a zero pivot.  A
+    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] (_draws)
+    and decide it with _tree_trial, or with verify_certificate at a zero pivot.  A
     Hessian that is not positive definite counts as non-PD, a nonpositive
     minimum as negative.  Returns the first Certificate found, or Exhausted
     with per-failure-kind counters after max_trials draws.
     """
-    rng = random.Random(cfg.base_seed)
     negative, non_pd = 0, 0
-    for trial in range(1, cfg.max_trials + 1):
-        coeffs = tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(system.V - 1))
+    draws = _draws(random.Random(cfg.base_seed), cfg, system.V - 1)
+    for trial, coeffs in zip(range(1, cfg.max_trials + 1), draws):
         outcome = _tree_trial(system.j, coeffs)
         if outcome is None:
             check = verify_certificate(system.V, system, coeffs)
-            outcome = ("non_pd" if not check.hessian_pd else "negative" if not check.positive
-                       else (check.min_value, check.minimizer))
+            if check.hessian_pd and check.positive:
+                return Certificate(system, coeffs, check.minimizer_num, check.minimizer_den,
+                                   check.min_value, trial)
+            outcome = "negative" if check.hessian_pd else "non_pd"
         if outcome == "non_pd":
             non_pd += 1
         elif outcome == "negative":
             negative += 1
         else:
-            min_value, minimizer = outcome
-            return Certificate(
-                system=system,
-                coeffs=coeffs,
-                minimizer=minimizer,
-                min_value=min_value,
-                trials=trial,
-            )
+            top, bottom, num, den = outcome
+            return Certificate(system, coeffs, num, den, Fraction(top, bottom), trial)
     return Exhausted(
         system=system,
         trials=cfg.max_trials,
@@ -351,7 +395,8 @@ def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) 
         if isinstance(result, Certificate):
             check = verify_certificate(V, result.system, result.coeffs)
             if not (check.hessian_pd and check.positive and check.min_value == result.min_value
-                    and check.minimizer == result.minimizer):
+                    and check.minimizer_num == result.minimizer_num
+                    and check.minimizer_den == result.minimizer_den):
                 raise RuntimeError(
                     f"internal error: certificate for system {result.system.system_id} "
                     "failed exact re-verification"

@@ -10,7 +10,8 @@ then works fraction-free over the integers, so results are exact by
 construction.  symmetric_bareiss is the proof core: the one elimination
 behind positive-definiteness tests and certificate checks.  Outside it, one
 integer Gauss-Jordan pivot (_jordan_pivot) serves both the general
-solve_linear and the phase-I simplex nonneg_combination_exists.
+solve_linear and the phase-I simplex nonneg_solution_exists, which takes
+integer rows that are already cleared.
 """
 
 from __future__ import annotations
@@ -208,10 +209,20 @@ def nonneg_combination_exists(
 ) -> bool:
     """Is target = sum(lam_c * columns[c]) for some lam >= 0?
 
-    Exact phase-I simplex on the integer tableau [A | I | t], where A holds
-    the columns and t the target.  [A | t] is denominator-cleared once and
-    each row sign-flipped so its target entry is >= 0 before the artificial
-    identity columns go on, so the starting basis is I.  Bland's rule
+    Clears the denominators of the rows [A | t], where A holds the columns
+    and t the target, once, and runs nonneg_solution_exists on them.
+    """
+    m = len(target)
+    cleared, _ = clear_denominators([*(col[i] for col in columns), target[i]] for i in range(m))
+    return nonneg_solution_exists(cleared)
+
+
+def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
+    """Has A lam = t a solution lam >= 0, for the integer rows [A | t]?
+
+    Exact phase-I simplex on the integer tableau [A | I | t].  Each row is
+    sign-flipped so its target entry is >= 0 before the artificial identity
+    columns go on, so the starting basis is I.  Bland's rule
     (Math. Oper. Res. 2, 1977) enters the lowest column with positive
     phase-I cost (its sum over the rows whose basis is artificial) and
     breaks ratio ties by the lowest basis index, so the simplex cannot
@@ -219,13 +230,12 @@ def nonneg_combination_exists(
     D * B^-1 [A | I | t] with D > 0, and the target is feasible iff every
     artificial still in the basis has right-hand side 0.
     """
-    m, n = len(target), len(columns)
-    cleared, _ = clear_denominators([*(col[i] for col in columns), target[i]] for i in range(m))
+    m, n = len(system), len(system[0]) - 1
     rows = []
-    for i, row in enumerate(cleared):
+    for i, row in enumerate(system):
         if row[-1] < 0:
             row = [-x for x in row]
-        rows.append(row[:-1] + [int(k == i) for k in range(m)] + row[-1:])
+        rows.append([*row[:-1], *(int(k == i) for k in range(m)), row[-1]])
     basis = list(range(n, n + m))
     prev = 1
     while True:

@@ -469,6 +469,25 @@ def test_check_hull_golden_output(tmp_path, capsys, coords, code, stdout):
     assert run(capsys, "check-hull", "--input", cfg) == (code, stdout, "")
 
 
+@pytest.mark.parametrize("command, code", [("check-hull", 1), ("count", 0)])
+def test_a_vertex_configuration_is_cleared_once(tmp_path, capsys, monkeypatch, command, code):
+    """check-hull clears the configuration's denominators once, not twice
+    per point (for the query, then for its simplex tableau); count clears
+    them once for the genericity check and the shadow kernel together."""
+    calls = []
+    clear = monoproof.ratcore.clear_denominators
+
+    def counting(rows):
+        calls.append(rows)
+        return clear(rows)
+
+    for module in (monoproof.ratcore, monoproof.equilibria):
+        monkeypatch.setattr(module, "clear_denominators", counting)
+    cfg = write_json(tmp_path, {"d": 3, "kind": "vertices", "coords": TIED})
+    assert run(capsys, command, "--input", cfg)[0] == code
+    assert len(calls) == 1
+
+
 def test_check_hull_rejects_deeply_nested_json(tmp_path, capsys):
     code, out, err = run(capsys, "check-hull", "--input", deep_json(tmp_path))
     assert code == 2

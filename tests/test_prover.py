@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -471,6 +472,47 @@ def test_per_system_seeds_are_independent_of_sibling_results():
         assert alone == row
 
 
+@pytest.mark.parametrize("low,high", [(1, 1), (1, 2), (1, 101), (1, 128), (1, 129),
+                                      (7, 7 + 2**40)])
+def test_search_draws_the_randint_stream(low, high, monkeypatch):
+    """The coefficients the search hands to its trials are those of
+    rng.randint(coeff_min, coeff_max) on the same stream: for widths 1 and
+    2, the default 101, a power of two and one past it, and one wider than
+    a 32-bit word."""
+    drawn = []
+
+    def spy(j, coeffs):
+        drawn.append(coeffs)
+        return "negative"
+
+    monkeypatch.setattr(prover, "_tree_trial", spy)
+    system = ShadowSystem(5, (1, 2, 2, 3))
+    for seed in (0, 1, 2**64 - 1):
+        drawn.clear()
+        cfg = SearchConfig(coeff_min=low, coeff_max=high, max_trials=40, base_seed=seed)
+        assert search_certificate(system, cfg) == Exhausted(system, 40, 40, 0)
+        rng = random.Random(seed)
+        assert drawn == [tuple(rng.randint(low, high) for _ in range(4)) for _ in range(40)]
+
+
+@pytest.mark.parametrize("field", ["minimizer_num", "min_value"])
+def test_prove_refuses_a_certificate_that_fails_re_verification(field, monkeypatch):
+    """A certificate whose minimizer has one numerator off by one, or whose
+    exact minimum is off, stops prove_unsolvable."""
+    search = prover.search_certificate
+
+    def tampered(system, cfg):
+        result = search(system, cfg)
+        num, value = result.minimizer_num, result.min_value
+        off = {"minimizer_num": (num[0] + 1, *num[1:]),
+               "min_value": Fraction(value.numerator + 1, value.denominator)}
+        return result._replace(**{field: off[field]})
+
+    monkeypatch.setattr(prover, "search_certificate", tampered)
+    with pytest.raises(RuntimeError, match="failed exact re-verification"):
+        prove_unsolvable(4)
+
+
 # sha256 of json.dumps(prove_unsolvable(V, SearchConfig(base_seed=seed)).to_json(),
 # sort_keys=True), recorded from the Fraction-based search that preceded the
 # integer core (its wall_clock_seconds key removed): the core must not change
@@ -570,7 +612,9 @@ def test_largest_prove_report_bodies_are_pinned(V):
 def dense_decision(system, coeffs):
     """A trial decided on G(c) as verification does: the class from one
     symmetric Bareiss pass, and a certificate's exact minimum and minimizer
-    from fraction-free back substitution."""
+    from fraction-free back substitution.  The minimizer is given as its
+    Fractions' numerators over their least common denominator, which are
+    its numerators over one positive denominator in lowest terms."""
     m = expansion.weighted_matrix(system, coeffs)
     positive_minors = symmetric_bareiss(m)
     if positive_minors < system.V - 2:
@@ -578,7 +622,19 @@ def dense_decision(system, coeffs):
     if positive_minors == system.V - 2:
         return "negative"
     X, D = homogeneous_solution(m)
-    return Fraction(m[-1][0], 2 * D), RatVector(Fraction(x, D) for x in X)
+    x = [Fraction(v, D) for v in X]
+    den = math.lcm(*(v.denominator for v in x))
+    return Fraction(m[-1][0], 2 * D), tuple(v.numerator * (den // v.denominator) for v in x), den
+
+
+def swept(system, coeffs):
+    """prover._tree_trial's outcome, with a certificate's integer minimum
+    top / bottom as one Fraction."""
+    got = prover._tree_trial(system.j, coeffs)
+    if isinstance(got, tuple):
+        top, bottom, num, den = got
+        return Fraction(top, bottom), num, den
+    return got
 
 
 def dense_search(system, cfg):
@@ -593,7 +649,9 @@ def dense_search(system, cfg):
         elif outcome == "negative":
             negative += 1
         else:
-            return Certificate(system, coeffs, outcome[1], outcome[0], trial)
+            min_value, num, den = outcome
+            return Certificate(system, coeffs, minimizer_num=num, minimizer_den=den,
+                               min_value=min_value, trials=trial)
     return Exhausted(system, cfg.max_trials, negative, non_pd)
 
 
@@ -609,7 +667,7 @@ def test_tree_sweep_agrees_with_the_dense_path():
             system = ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
             top = rng.choice((5, 101, 3000))
             coeffs = tuple(rng.randint(1, top) for _ in range(V - 1))
-            got = prover._tree_trial(system.j, coeffs)
+            got = swept(system, coeffs)
             if got is None:
                 outcomes["zero pivot"] += 1
                 continue
@@ -620,13 +678,14 @@ def test_tree_sweep_agrees_with_the_dense_path():
 
 def test_tree_sweep_on_every_bundled_row():
     """All 870 bundled rows: the sweep certifies each with the table's min_f
-    and verify_certificate's minimizer."""
+    and verify_certificate's minimizer, field for field."""
     rows = 0
     for V in (4, 5, 6, 7):
         for row in parse_certificate_table(bundled_table_path(V)).rows:
-            min_value, minimizer = prover._tree_trial(row.system.j, row.coeffs)
+            min_value, num, den = swept(row.system, row.coeffs)
+            check = verify_certificate(V, row.system, row.coeffs)
             assert min_value == row.min_f
-            assert minimizer == verify_certificate(V, row.system, row.coeffs).minimizer
+            assert (num, den) == (check.minimizer_num, check.minimizer_den)
             rows += 1
     assert rows == 870
 

@@ -101,3 +101,18 @@ def test_trial_core_exits_1_on_a_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(tool.prover, "_tree_trial", lambda j, coeffs: "negative")
     assert tool.main(["--draws", "20"]) == 1
     assert "mismatches 0" not in capsys.readouterr().out
+
+
+def test_trial_core_exits_1_on_a_stream_mismatch(capsys, monkeypatch):
+    tool = load_tool("trial_core")
+    draws = tool.prover._draws
+
+    def shifted(rng, cfg, size):
+        for coeffs in draws(rng, cfg, size):
+            yield (coeffs[0] % cfg.coeff_max + 1, *coeffs[1:])
+
+    monkeypatch.setattr(tool.prover, "_draws", shifted)
+    assert tool.main(["--draws", "20"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and not any("off-stream 0 " in line for line in lines)
+    assert all(line.endswith("mismatches 0") for line in lines)

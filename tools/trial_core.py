@@ -1,4 +1,4 @@
-"""Time the search's trial test against the dense one, per trial.
+"""Time the search's trial test and coefficient draw, per trial.
 
 For each V = 5..10 the tool draws seeded shadowing systems and coefficient
 tuples from the default search range [1, 101], and decides every draw twice:
@@ -8,25 +8,32 @@ tuples from the default search range [1, 101], and decides every draw twice:
 * with ``expansion.weighted_matrix`` and one ``ratcore.symmetric_bareiss``
   pass on the dense (V-1) x (V-1) matrix G(c), the path verification runs.
 
+It also draws the V-1 coefficients of as many trials twice from the stream
+random.Random(V): with ``prover._draws``, as the search does, and with
+``random.Random.randint`` per coefficient, as the search once did.
+
 It prints the microseconds per trial of each (the fastest of five passes
-over the draws), the number of zero pivots (the draws the search hands to
-the dense path), and the number of mismatches: draws where the sweep's
-class, or on a certificate its exact minimum or minimizer, differs from
-that of ``prover.verify_certificate``, which the search falls back on at a
-zero pivot, run outside the timing.
+over the draws), the number of stream mismatches ("off-stream": trials
+whose ``_draws`` tuple differs from the randint one), the number of zero
+pivots (the draws the search hands to the dense path), and the number of
+mismatches: draws where the sweep's class, or on a certificate its exact
+minimum or minimizer, differs from that of ``prover.verify_certificate``,
+which the search falls back on at a zero pivot, run outside the timing.
 
     python3 tools/trial_core.py [--draws N]
 
-exits 1 on any mismatch.
+exits 1 on any mismatch of either kind.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -48,14 +55,47 @@ def draws(V: int, count: int, rng: random.Random) -> list:
     ]
 
 
+def swept_outcome(got: object) -> object:
+    """_tree_trial's outcome, a certificate's minimum top / bottom as one
+    Fraction."""
+    if isinstance(got, tuple):
+        top, bottom, num, den = got
+        return Fraction(top, bottom), num, den
+    return got
+
+
 def dense_outcome(system: ShadowSystem, coeffs: tuple) -> object:
-    """A trial's class from verify_certificate, in _tree_trial's terms."""
+    """A trial's class from verify_certificate, in swept_outcome's terms."""
     check = prover.verify_certificate(system.V, system, coeffs)
     if not check.hessian_pd:
         return "non_pd"
     if not check.positive:
         return "negative"
-    return check.min_value, check.minimizer
+    return check.min_value, check.minimizer_num, check.minimizer_den
+
+
+def measure_draws(V: int, count: int, seed: int) -> tuple[float, float, int]:
+    """(_draws us, randint us, stream mismatches) per trial of V - 1
+    coefficients, over ``count`` trials from random.Random(seed); each time
+    the fastest of REPEATS alternating passes, with the garbage collector
+    off as in measure."""
+    cfg = prover.SearchConfig()
+    low, high, slots = cfg.coeff_min, cfg.coeff_max, range(V - 1)
+    direct_s = randint_s = float("inf")
+    gc.disable()
+    try:
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            direct = list(itertools.islice(prover._draws(random.Random(seed), cfg, V - 1), count))
+            direct_s = min(direct_s, time.perf_counter() - started)
+            started = time.perf_counter()
+            rng = random.Random(seed)
+            drawn = [tuple(rng.randint(low, high) for _ in slots) for _ in range(count)]
+            randint_s = min(randint_s, time.perf_counter() - started)
+    finally:
+        gc.enable()
+    mismatches = abs(len(drawn) - len(direct)) + sum(a != b for a, b in zip(direct, drawn))
+    return direct_s * 1e6 / count, randint_s * 1e6 / count, mismatches
 
 
 def measure(cases: list) -> tuple[float, float, int, int]:
@@ -84,7 +124,7 @@ def measure(cases: list) -> tuple[float, float, int, int]:
         if got is None:
             zeros += 1
         else:
-            mismatches += got != dense_outcome(system, coeffs)
+            mismatches += swept_outcome(got) != dense_outcome(system, coeffs)
     per_trial = 1e6 / len(cases)
     return sweep_s * per_trial, dense_s * per_trial, zeros, mismatches
 
@@ -98,10 +138,12 @@ def main(argv=None) -> int:
     rng = random.Random(0)
     total = 0
     for V in VERTEX_COUNTS:
+        draw_us, randint_us, stream = measure_draws(V, ns.draws, V)
         sweep_us, dense_us, zeros, mismatches = measure(draws(V, ns.draws, rng))
-        total += mismatches
+        total += stream + mismatches
         print(f"V={V:<3} {ns.draws} draws  sweep {sweep_us:6.1f} us  dense {dense_us:6.1f} us"
-              f"  zero pivots {zeros}  mismatches {mismatches}")
+              f"  draw {draw_us:5.2f} us  randint {randint_us:5.2f} us"
+              f"  off-stream {stream}  zero pivots {zeros}  mismatches {mismatches}")
     return 1 if total else 0
 
 
