@@ -124,10 +124,12 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on cleared rows R, read off their
-    Gram matrix; the diagonal is sign(0) = 0 by construction."""
+    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on cleared rows R: row a of their
+    Gram matrix is compared inline with its diagonal entry |R_a|^2, so the
+    diagonal is sign(0) = 0 by construction."""
     gram = [[_dot(R, S) for S in rows] for R in rows]
-    return [[_sign(g[a] - x) for x in g] for a, g in enumerate(gram)]
+    norms = [g[a] for a, g in enumerate(gram)]
+    return [[(n > x) - (n < x) for x in g] for g, n in zip(gram, norms)]
 
 
 def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:

@@ -127,17 +127,25 @@ def _axis_matrix(system: ShadowSystem, weights: Sequence[int]) -> list[list[int]
 
     Built in closed form from the coordinate vectors: t_i is a unit vector
     for i < V and t_V the all-(-1) vector, so c_V adds 2 c_V to every entry
-    and c_V more to each entry in the row and column of t_j(V)."""
-    V = system.V
-    size = V - 1
-    pos = [size - 1] + list(range(size - 1))  # t_i sits at pos[i - 1]
-    c_last, p = weights[-1], pos[system.j[-1] - 1]
-    m = [[2 * c_last + c_last * ((r == p) + (r + d == p)) for d in range(size - r)]
-         for r in range(size)]
-    for i, c in zip(range(2, V), weights):
-        a, b = pos[i - 1], pos[system.j[i - 2] - 1]
-        m[a][0] += 2 * c
-        m[min(a, b)][abs(a - b)] -= c
+    and c_V more to each entry in the row and column of t_j(V), whose
+    diagonal entry gets it twice.  Each row starts whole at 2 c_V; row p of
+    t_j(V) is 4 c_V, then 3 c_V.  Then each t_i with i < V, at position
+    i - 2, adds 2 c_i on its diagonal and -c_i at its entry with t_j(i):
+    t_1 sits last, so j(i) = 1 is the last entry of row i - 2."""
+    size = system.V - 1
+    c_last, j_last = weights[-1], system.j[-1]
+    p = j_last - 2 if j_last > 1 else size - 1
+    m = [[2 * c_last] * (size - r) for r in range(size)]
+    for r in range(p):
+        m[r][p - r] += c_last
+    m[p] = [4 * c_last, *[3 * c_last] * (size - 1 - p)]
+    for a, c, j in zip(range(size - 1), weights, system.j):
+        row = m[a]
+        row[0] += 2 * c
+        if j > 1:
+            m[j - 2][a + 2 - j] -= c
+        else:
+            row[-1] -= c
     return m
 
 

@@ -150,16 +150,15 @@ def _audit(system: ShadowSystem, coeffs: Sequence[int], X: list[int], D: int, d_
     t_V = -(t_1 + ... + t_(V-1)).
     """
     V = system.V
-    T = scaled_vertices(X, D)
-    grad = [0] * V
+    T = [0, *scaled_vertices(X, D)]  # T[i] = T_i
+    grad = [0] * (V + 1)
     value = 0
-    for i, c in zip(range(2, V + 1), coeffs):
-        j = system.j[i - 2]
-        ti, tj = T[i - 1], T[j - 1]
-        value += c * (ti * ti - ti * tj)
-        grad[i - 1] += c * (2 * ti - tj)
-        grad[j - 1] -= c * ti
-    if 2 * value != D * d_last or any(g != grad[V - 1] for g in grad[1 : V - 1]):
+    for i, c, j in zip(range(2, V + 1), coeffs, system.j):
+        ti, tj = T[i], T[j]
+        value += c * ti * (ti - tj)
+        grad[i] += c * (2 * ti - tj)
+        grad[j] -= c * ti
+    if 2 * value != D * d_last or grad[2:V] != [grad[V]] * (V - 2):
         raise RuntimeError(
             f"internal error: certificate for system {system.system_id} failed the "
             "geometric audit of its minimum and minimizer"

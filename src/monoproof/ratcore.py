@@ -266,7 +266,8 @@ def symmetric_bareiss(m: list[list[int]]) -> int:
     the (r+1)-th leading minor for every r <= k (r < size), so m[k][0] is
     the failing minor, and rows r < k hold the eliminated upper triangle.
     All divisions are exact (Bareiss, Math. Comp. 22, 1968), and symmetry
-    lets row k stand in for column k of the trailing block.
+    lets row k stand in for column k of the trailing block.  A step whose
+    previous pivot is 1, the first step always, skips the division.
     """
     size = len(m)
     prev = 1
@@ -277,7 +278,10 @@ def symmetric_bareiss(m: list[list[int]]) -> int:
             return k
         for i in range(k + 1, size):
             a = row_k[i - k]
-            m[i] = [(pivot * x - a * y) // prev for x, y in zip(m[i], row_k[i - k:])]
+            if prev == 1:
+                m[i] = [pivot * x - a * y for x, y in zip(m[i], row_k[i - k:])]
+            else:
+                m[i] = [(pivot * x - a * y) // prev for x, y in zip(m[i], row_k[i - k:])]
         prev = pivot
     return size
 
@@ -289,13 +293,17 @@ def homogeneous_solution(m: list[list[int]]) -> tuple[list[int], int]:
     [[H, b], [b^T, .]] whose first n leading minors are positive.  Returns
     (X, D) with D = d_n = det H and X = D * x for the solution x of
     H x = -b; X is integral by Cramer's rule, so every division is exact.
+    Each row's sum runs as a plain loop: it has at most n - 1 terms, fewer
+    than it takes for a generator's setup to pay off.
     """
     n = len(m) - 1
     D = m[n - 1][0] if n else 1
     X = [0] * n
     for r in range(n - 1, -1, -1):
         row = m[r]
-        acc = D * row[n - r] + sum(row[c - r] * X[c] for c in range(r + 1, n))
+        acc = D * row[n - r]
+        for c in range(r + 1, n):
+            acc += row[c - r] * X[c]
         X[r] = -acc // row[0]
     return X, D
 

@@ -167,6 +167,75 @@ def test_weighted_sum_equals_sum_of_parts():
         assert f.evaluate(x) == sum(c * q.evaluate(x) for c, q in zip(coeffs, forms))
 
 
+def definition_matrix(system: ShadowSystem, weights) -> list[list[int]]:
+    """The V x V integer matrix M of 2 g_c on t_1..t_V, from the definition
+    g_c(t) = sum_i c_i (t_i^2 - t_i t_j(i)): 2 c_i at (i, i) and -c_i at
+    (i, j(i)) and at (j(i), i)."""
+    V = system.V
+    M = [[0] * V for _ in range(V)]
+    for i, c in zip(range(2, V + 1), weights):
+        j = system.j_of(i)
+        M[i - 1][i - 1] += 2 * c
+        M[i - 1][j - 1] -= c
+        M[j - 1][i - 1] -= c
+    return M
+
+
+def balance_basis(V: int) -> list[list[int]]:
+    """The V x (V-1) integer B with t = B y for y = (t_2, ..., t_(V-1), t_1):
+    t_V = -(t_1 + ... + t_(V-1)) is the all-(-1) row."""
+    order = [*range(2, V), 1]
+    return [[int(i == v) for v in order] for i in range(1, V)] + [[-1] * (V - 1)]
+
+
+def axis_matrix_by_definition(system: ShadowSystem, weights) -> list[list[int]]:
+    """B^T M B: the matrix of 2 g_c over y, which G(c) must equal."""
+    M, B = definition_matrix(system, weights), balance_basis(system.V)
+    MB = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in M]
+    return [[sum(a * b for a, b in zip(col, mb)) for mb in zip(*MB)] for col in zip(*B)]
+
+
+def unpacked(packed: list[list[int]]) -> list[list[int]]:
+    n = len(packed)
+    return [[packed[min(r, c)][abs(c - r)] for c in range(n)] for r in range(n)]
+
+
+def seeded_systems(V: int, count: int, rng: random.Random) -> list[ShadowSystem]:
+    return [ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
+            for _ in range(count)]
+
+
+def test_weighted_matrix_is_the_definition_after_the_balance():
+    """weighted_matrix's closed form against B^T M B, built from the raw
+    definition of g_c and the balance alone: every system at V = 4..7 and
+    seeded systems at V = 8..10, with seeded weights."""
+    rng = random.Random(2024)
+    systems = [s for V in range(4, 8) for s in enumerate_systems(V)]
+    systems += [s for V in range(8, 11) for s in seeded_systems(V, 40, rng)]
+    for system in systems:
+        coeffs = tuple(rng.randint(1, 101) for _ in range(system.V - 1))
+        assert unpacked(weighted_matrix(system, coeffs)) == axis_matrix_by_definition(
+            system, coeffs), (system.j, coeffs)
+
+
+def test_inequality_forms_are_the_definition_after_the_balance():
+    """Each Q_i is G for the unit weight vector e_i (zero weights included,
+    c_V among them): its form must hold G_h / 2, the last column of G and
+    half its corner, for G = B^T M B."""
+    rng = random.Random(7)
+    systems = [s for V in (4, 5) for s in enumerate_systems(V)]
+    systems += [s for V in range(6, 11) for s in seeded_systems(V, 6, rng)]
+    for system in systems:
+        V = system.V
+        for i in range(2, V + 1):
+            G = axis_matrix_by_definition(system, [int(l == i) for l in range(2, V + 1)])
+            form = inequality_form(system, i)
+            h = V - 2
+            assert [[2 * a for a in row] for row in form.A] == [row[:h] for row in G[:h]]
+            assert list(form.b) == [row[h] for row in G[:h]]
+            assert 2 * form.c0 == G[h][h], (system.j, i)
+
+
 @pytest.mark.parametrize("coeffs", [(0, 1, 1), (1, -2, 1), (1, 1, True)])
 def test_weighted_sum_rejects_bad_coefficients(coeffs):
     system = ShadowSystem(4, (1, 1, 1))

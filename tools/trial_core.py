@@ -1,4 +1,4 @@
-"""Time the search's trial test and coefficient draw, per trial.
+"""Time the trial test, coefficient draw and verification, per trial.
 
 For each V = 5..10 the tool draws seeded shadowing systems and coefficient
 tuples from the default search range [1, 101], and decides every draw twice:
@@ -8,17 +8,21 @@ tuples from the default search range [1, 101], and decides every draw twice:
 * with ``expansion.weighted_matrix`` and one ``ratcore.symmetric_bareiss``
   pass on the dense (V-1) x (V-1) matrix G(c), the path verification runs.
 
-It also draws the V-1 coefficients of as many trials twice from the stream
-random.Random(V): with ``prover._draws``, as the search does, and with
-``random.Random.randint`` per coefficient, as the search once did.
+It times a whole ``prover.verify_certificate`` call on each draw too: the
+dense pass, then, on a positive definite Hessian, the back substitution and
+the geometric audit.  And it draws the V-1 coefficients of as many trials
+twice from the stream random.Random(V): with ``prover._draws``, as the
+search does, and with ``random.Random.randint`` per coefficient, as the
+search once did.
 
-It prints the microseconds per trial of each (the fastest of five passes
-over the draws), the number of stream mismatches ("off-stream": trials
-whose ``_draws`` tuple differs from the randint one), the number of zero
-pivots (the draws the search hands to the dense path), and the number of
-mismatches: draws where the sweep's class, or on a certificate its exact
-minimum or minimizer, differs from that of ``prover.verify_certificate``,
-which the search falls back on at a zero pivot, run outside the timing.
+It prints the microseconds per trial of each ("sweep", "dense", "verify",
+"draw" and "randint"; the fastest of five passes over the draws), the
+number of stream mismatches ("off-stream": trials whose ``_draws`` tuple
+differs from the randint one), the number of zero pivots (the draws the
+search hands to the dense path), and the number of mismatches: draws where
+the sweep's class, or on a certificate its exact minimum or minimizer,
+differs from that of ``prover.verify_certificate``, which the search falls
+back on at a zero pivot, run outside the timing.
 
     python3 tools/trial_core.py [--draws N]
 
@@ -98,15 +102,15 @@ def measure_draws(V: int, count: int, seed: int) -> tuple[float, float, int]:
     return direct_s * 1e6 / count, randint_s * 1e6 / count, mismatches
 
 
-def measure(cases: list) -> tuple[float, float, int, int]:
-    """(sweep us, dense us, zero pivots, mismatches) over ``cases``.
+def measure(cases: list) -> tuple[float, float, float, int, int]:
+    """(sweep us, dense us, verify us, zero pivots, mismatches) over ``cases``.
 
     Each time is the fastest of REPEATS alternating passes, as the host's
     cores change speed from one pass to the next, and runs with the garbage
     collector off, as in timeit: the draws and results held here would
     otherwise make each collection, and so each path, slower than in a
     search."""
-    sweep_s = dense_s = float("inf")
+    sweep_s = dense_s = verify_s = float("inf")
     gc.disable()
     try:
         for _ in range(REPEATS):
@@ -117,6 +121,10 @@ def measure(cases: list) -> tuple[float, float, int, int]:
             for m in [weighted_matrix(system, coeffs) for system, coeffs in cases]:
                 symmetric_bareiss(m)
             dense_s = min(dense_s, time.perf_counter() - started)
+            started = time.perf_counter()
+            for system, coeffs in cases:
+                prover.verify_certificate(system.V, system, coeffs)
+            verify_s = min(verify_s, time.perf_counter() - started)
     finally:
         gc.enable()
     zeros = mismatches = 0
@@ -126,7 +134,7 @@ def measure(cases: list) -> tuple[float, float, int, int]:
         else:
             mismatches += swept_outcome(got) != dense_outcome(system, coeffs)
     per_trial = 1e6 / len(cases)
-    return sweep_s * per_trial, dense_s * per_trial, zeros, mismatches
+    return sweep_s * per_trial, dense_s * per_trial, verify_s * per_trial, zeros, mismatches
 
 
 def main(argv=None) -> int:
@@ -139,10 +147,10 @@ def main(argv=None) -> int:
     total = 0
     for V in VERTEX_COUNTS:
         draw_us, randint_us, stream = measure_draws(V, ns.draws, V)
-        sweep_us, dense_us, zeros, mismatches = measure(draws(V, ns.draws, rng))
+        sweep_us, dense_us, verify_us, zeros, mismatches = measure(draws(V, ns.draws, rng))
         total += stream + mismatches
         print(f"V={V:<3} {ns.draws} draws  sweep {sweep_us:6.1f} us  dense {dense_us:6.1f} us"
-              f"  draw {draw_us:5.2f} us  randint {randint_us:5.2f} us"
+              f"  verify {verify_us:6.1f} us  draw {draw_us:5.2f} us  randint {randint_us:5.2f} us"
               f"  off-stream {stream}  zero pivots {zeros}  mismatches {mismatches}")
     return 1 if total else 0
 
