@@ -128,8 +128,7 @@ def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     Gram matrix is compared inline with its diagonal entry |R_a|^2, so the
     diagonal is sign(0) = 0 by construction."""
     gram = [[_dot(R, S) for S in rows] for R in rows]
-    norms = [g[a] for a, g in enumerate(gram)]
-    return [[(n > x) - (n < x) for x in g] for g, n in zip(gram, norms)]
+    return [[(g[a] > x) - (g[a] < x) for x in g] for a, g in enumerate(gram)]
 
 
 def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:

@@ -266,8 +266,7 @@ def symmetric_bareiss(m: list[list[int]]) -> int:
     the (r+1)-th leading minor for every r <= k (r < size), so m[k][0] is
     the failing minor, and rows r < k hold the eliminated upper triangle.
     All divisions are exact (Bareiss, Math. Comp. 22, 1968), and symmetry
-    lets row k stand in for column k of the trailing block.  A step whose
-    previous pivot is 1, the first step always, skips the division.
+    lets row k stand in for column k of the trailing block.
     """
     size = len(m)
     prev = 1
@@ -278,10 +277,7 @@ def symmetric_bareiss(m: list[list[int]]) -> int:
             return k
         for i in range(k + 1, size):
             a = row_k[i - k]
-            if prev == 1:
-                m[i] = [pivot * x - a * y for x, y in zip(m[i], row_k[i - k:])]
-            else:
-                m[i] = [(pivot * x - a * y) // prev for x, y in zip(m[i], row_k[i - k:])]
+            m[i] = [(pivot * x - a * y) // prev for x, y in zip(m[i], row_k[i - k:])]
         prev = pivot
     return size
 

@@ -9,6 +9,7 @@ from monoproof.expansion import (
     NonPositiveCoefficient,
     QuadraticForm,
     ShadowSystem,
+    _axis_matrix,
     enumerate_systems,
     inequality_form,
     inequality_forms,
@@ -206,9 +207,10 @@ def seeded_systems(V: int, count: int, rng: random.Random) -> list[ShadowSystem]
 
 
 def test_weighted_matrix_is_the_definition_after_the_balance():
-    """weighted_matrix's closed form against B^T M B, built from the raw
-    definition of g_c and the balance alone: every system at V = 4..7 and
-    seeded systems at V = 8..10, with seeded weights."""
+    """G(c) against B^T M B, built from the raw definition of g_c and the
+    balance alone: every system at V = 4..7 and seeded systems at V = 8..10,
+    with seeded weights and with each unit weight vector, the G behind
+    inequality_form (zero weights included, c_V among them)."""
     rng = random.Random(2024)
     systems = [s for V in range(4, 8) for s in enumerate_systems(V)]
     systems += [s for V in range(8, 11) for s in seeded_systems(V, 40, rng)]
@@ -216,24 +218,10 @@ def test_weighted_matrix_is_the_definition_after_the_balance():
         coeffs = tuple(rng.randint(1, 101) for _ in range(system.V - 1))
         assert unpacked(weighted_matrix(system, coeffs)) == axis_matrix_by_definition(
             system, coeffs), (system.j, coeffs)
-
-
-def test_inequality_forms_are_the_definition_after_the_balance():
-    """Each Q_i is G for the unit weight vector e_i (zero weights included,
-    c_V among them): its form must hold G_h / 2, the last column of G and
-    half its corner, for G = B^T M B."""
-    rng = random.Random(7)
-    systems = [s for V in (4, 5) for s in enumerate_systems(V)]
-    systems += [s for V in range(6, 11) for s in seeded_systems(V, 6, rng)]
-    for system in systems:
-        V = system.V
-        for i in range(2, V + 1):
-            G = axis_matrix_by_definition(system, [int(l == i) for l in range(2, V + 1)])
-            form = inequality_form(system, i)
-            h = V - 2
-            assert [[2 * a for a in row] for row in form.A] == [row[:h] for row in G[:h]]
-            assert list(form.b) == [row[h] for row in G[:h]]
-            assert 2 * form.c0 == G[h][h], (system.j, i)
+        for i in range(2, system.V + 1):
+            unit = [int(l == i) for l in range(2, system.V + 1)]
+            assert unpacked(_axis_matrix(system, unit)) == axis_matrix_by_definition(
+                system, unit), (system.j, i)
 
 
 @pytest.mark.parametrize("coeffs", [(0, 1, 1), (1, -2, 1), (1, 1, True)])
