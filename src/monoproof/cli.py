@@ -34,7 +34,6 @@ from monoproof.prover import (
     prove_unsolvable,
     verify_certificate,
 )
-from monoproof.ratcore import format_rational
 from monoproof.tables import (
     BUNDLED_VERTEX_COUNTS,
     ChecksumMismatch,
@@ -100,16 +99,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         j = ",".join(str(v) for v in row.system.choices)
         if not ok:
             computed = (
-                format_rational(result.min_value)
+                result.min_value
                 if result.min_value is not None
                 else "n/a (Hessian not positive definite)"
             )
             print(f"system #{row.system.system_id} j=({j}): MISMATCH "
-                  f"expected {format_rational(row.min_f)}, computed {computed}")
+                  f"expected {row.min_f}, computed {computed}")
             break
         verified += 1
         print(f"system #{row.system.system_id} j=({j}): "
-              f"ok, min = {format_rational(row.min_f)}")
+              f"ok, min = {row.min_f}")
     all_ok = verified == len(table)
     print(f"{verified}/{len(table)} verified" + ("" if all_ok else " before first mismatch"))
     print(_manifest(ns, dataset_checksums={path.name: digest}))
@@ -183,12 +182,16 @@ def cmd_count(ns: argparse.Namespace) -> int:
 def cmd_systems(ns: argparse.Namespace) -> int:
     if ns.vertices < 3:
         return _fail_usage("--vertices must be at least 3")
-    try:
-        count = str(math.factorial(ns.vertices - 1))
-    except ValueError:  # more digits than int-to-str conversion allows
+    # Refuse a count too long to print before computing it: past Python's
+    # int-to-str limit, or its default of 4,300 digits where there is none.
+    # (V-1)! has floor(log10 (V-1)!) + 1 digits, and lgamma(V) = ln (V-1)!.
+    # For V > limit (at least 640) it has more than V digits, as n! > 10^n
+    # for n >= 25, so lgamma, which overflows on a huge V, is not asked.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if ns.vertices > limit or math.lgamma(ns.vertices) / math.log(10) >= limit:
         return _fail_usage(f"--vertices {ns.vertices}: the system count "
-                           f"{ns.vertices - 1}! has too many digits to print")
-    print(f"V = {ns.vertices}: {count} shadowing systems, "
+                           f"{ns.vertices - 1}! has more than {limit} digits to print")
+    print(f"V = {ns.vertices}: {math.factorial(ns.vertices - 1)} shadowing systems, "
           f"{ns.vertices - 2} free variables each")
     if ns.list:
         for system in enumerate_systems(ns.vertices):

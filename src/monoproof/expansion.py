@@ -13,9 +13,9 @@ Q_i applies one quadratic to each coordinate axis, so in any dimension d
 
 for the (V-1)-variable form g_c(t) = sum_i c_i (t_i^2 - t_i t_j(i)), where
 each axis holds the column t = (r_1k, ..., r_Vk) and the balance gives
-t_V = -(t_1 + ... + t_(V-1)).  weighted_matrix builds the integer matrix
-G(c) of 2 g_c in the order (t_2, ..., t_(V-1), t_1), and G_h is G without
-t_1.  If all V-1 leading minors of G(c) are positive, g_c is positive
+t_V = -(t_1 + ... + t_(V-1)).  weighted_inequality_sum builds the integer
+matrix G(c) of 2 g_c in the order (t_2, ..., t_(V-1), t_1), and G_h is G
+without t_1.  If all V-1 leading minors of G(c) are positive, g_c is positive
 definite on {sum t = 0}; its minimum at t_1 = 1 is d_(V-1) / (2 d_(V-2))
 over the leading minors d_k, so by homogeneity
 
@@ -29,8 +29,10 @@ test, so everything here lives on one axis.  prover.verify_certificate
 checks certificates on G(c); the search decides its trials on the tree
 i -> j(i) without building G(c), except at a zero pivot (see prover).
 
-QuadraticForm is the exact-rational view of g_c over the V-2 free
-coordinates x = (t_2, ..., t_(V-1)) of that axis at t_1 = 1.
+G(c) is the only representation of a form: inequality_forms gives the G of
+each Q_i on its own, and G(c) is their sum weighted by c.  Over the V-2 free
+coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, a form's value is y^T G y / 2
+at y = (x, 1).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from monoproof.ratcore import RatMatrix, RatVector, eval_quadratic
+from monoproof.ratcore import RatVector
 
 
 class NonPositiveCoefficient(ValueError):
@@ -99,28 +101,6 @@ def enumerate_systems(V: int) -> Iterator[ShadowSystem]:
         yield ShadowSystem.from_choices(V, choices)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """f(x) = x^T A x + b.x + c0 with A symmetric; the Hessian 2A is constant."""
-
-    A: RatMatrix
-    b: RatVector
-    c0: Fraction
-
-    def __post_init__(self):
-        if not self.A.is_symmetric():
-            raise ValueError("quadratic part must be symmetric")
-        if len(self.b) != self.A.n:
-            raise ValueError("linear part has wrong length")
-
-    @property
-    def n(self) -> int:
-        return self.A.n
-
-    def evaluate(self, x: RatVector) -> Fraction:
-        return eval_quadratic(self.A, self.b, self.c0, x)
-
-
 def _axis_matrix(system: ShadowSystem, weights: Sequence[int]) -> list[list[int]]:
     """G for the weights c_2..c_V (zeros allowed) as packed upper-triangle
     rows: row r holds the entries (r, r), (r, r+1), ..., (r, V-2).
@@ -149,27 +129,11 @@ def _axis_matrix(system: ShadowSystem, weights: Sequence[int]) -> list[list[int]
     return m
 
 
-def _quadratic_form(g: list[list[int]]) -> QuadraticForm:
-    """The QuadraticForm over x = (t_2, ..., t_(V-1)) of an axis matrix G at
-    t_1 = 1: A = G_h / 2, b = the last column of G and c0 = its corner / 2."""
-    h = len(g) - 1
-    A = [[Fraction(g[min(r, c)][abs(c - r)], 2) for c in range(h)] for r in range(h)]
-    b = [g[r][h - r] for r in range(h)]
-    return QuadraticForm(RatMatrix(A), RatVector(b), Fraction(g[h][0], 2))
-
-
-def inequality_form(system: ShadowSystem, i: int) -> QuadraticForm:
-    """The left-hand side Q_i of 'vertex i is shadowed by vertex j(i)',
-    on axis 1 over x; the inequality is Q_i <= 0."""
-    if not 2 <= i <= system.V:
-        raise ValueError(f"vertex index {i} out of range 2..{system.V}")
-    unit = [int(l == i) for l in range(2, system.V + 1)]
-    return _quadratic_form(_axis_matrix(system, unit))
-
-
-def inequality_forms(system: ShadowSystem) -> list[QuadraticForm]:
-    """Q_i for i = 2..V, in vertex order."""
-    return [inequality_form(system, i) for i in range(2, system.V + 1)]
+def inequality_forms(system: ShadowSystem) -> list[list[list[int]]]:
+    """The axis matrix G of each Q_i on its own, for i = 2..V in vertex
+    order: _axis_matrix at the unit weight vector e_i, packed as G(c) is."""
+    size = system.V - 1
+    return [_axis_matrix(system, [int(l == i) for l in range(size)]) for i in range(size)]
 
 
 def _check_coefficients(system: ShadowSystem, coeffs: Sequence[int]) -> None:
@@ -182,26 +146,20 @@ def _check_coefficients(system: ShadowSystem, coeffs: Sequence[int]) -> None:
             raise NonPositiveCoefficient(f"coefficient {c} is not positive")
 
 
-def weighted_matrix(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[int]]:
-    """G(c), the (V-1) x (V-1) integer matrix of 2 g_c on one axis (see the
-    module docstring), as packed upper-triangle rows, the layout
+def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[int]]:
+    """G(c) for positive integer weights c_2..c_V: the (V-1) x (V-1) integer
+    matrix of 2 g_c = 2 sum_i c_i Q_i on one axis (see the module
+    docstring), as packed upper-triangle rows, the layout
     ratcore.symmetric_bareiss eliminates.
 
     Its leading block G_h is the Hessian of the weighted sum over x, its
-    last column the linear part and its corner twice the constant.
+    last column the linear part and its corner twice the constant.  If
+    G(c) is positive definite, the sum is strictly convex with a strictly
+    positive minimum, and the shadowing system has no solution: any
+    solution would make every Q_i <= 0 and hence the sum nonpositive.
     """
     _check_coefficients(system, coeffs)
     return _axis_matrix(system, coeffs)
-
-
-def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> QuadraticForm:
-    """sum_i c_i * Q_i on axis 1 over x, for positive integer weights c_2..c_V.
-
-    If some choice of weights makes this form strictly convex with a
-    strictly positive minimum, the shadowing system has no solution: any
-    solution would make every Q_i <= 0 and hence the sum nonpositive.
-    """
-    return _quadratic_form(weighted_matrix(system, coeffs))
 
 
 def scaled_vertices(x: Sequence, scale) -> list:

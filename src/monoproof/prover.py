@@ -6,13 +6,15 @@ c_2..c_V whose weighted inequality sum f = sum_i c_i Q_i is strictly convex
 solution of the system would make f nonpositive, so a certificate proves
 unsolvability.
 
-Verification runs on the (V-1) x (V-1) integer matrix G(c) of one axis (see
-expansion).  c is a certificate exactly when all V-1 leading minors
-d_1..d_(V-1) of G(c) are positive.  Then the one-axis form g_c is positive
-definite on {sum t = 0} with minimum d_(V-1) / (2 d_(V-2)) at t_1 = 1, and
-since f is g_c summed over the coordinate axes, f >= that minimum times
-|r_1|^2 in every dimension: the certificate refutes its system for
-0-skeletons in R^d for all d, not only in R^3.  One pass of
+Verification runs on the (V-1) x (V-1) integer matrix G(c) of one axis,
+the one representation of the weighted form, which
+expansion.weighted_inequality_sum builds (see expansion).  c is a
+certificate exactly when all V-1 leading minors d_1..d_(V-1) of G(c) are
+positive.  Then the one-axis form g_c is positive definite on {sum t = 0}
+with minimum d_(V-1) / (2 d_(V-2)) at t_1 = 1, and since f is g_c summed
+over the coordinate axes, f >= that minimum times |r_1|^2 in every
+dimension: the certificate refutes its system for 0-skeletons in R^d for
+all d, not only in R^3.  One pass of
 ratcore.symmetric_bareiss yields those minors, and the minimizer, the V-2
 free coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, comes from
 fraction-free back substitution.  The minimum is returned as a Fraction,
@@ -56,7 +58,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from monoproof.ratcore import RatVector, homogeneous_solution, symmetric_bareiss
-from monoproof.expansion import ShadowSystem, enumerate_systems, scaled_vertices, weighted_matrix
+from monoproof.expansion import (ShadowSystem, enumerate_systems, scaled_vertices,
+                                 weighted_inequality_sum)
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -173,7 +176,7 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     """
     if V != system.V:
         raise ValueError(f"vertex count {V} does not match system (V={system.V})")
-    m = weighted_matrix(system, coeffs)
+    m = weighted_inequality_sum(system, coeffs)
     if symmetric_bareiss(m) < V - 2:
         return VerifyResult(hessian_pd=False, min_value=None, positive=False)
     X, D = homogeneous_solution(m)

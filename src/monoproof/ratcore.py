@@ -1,14 +1,15 @@
-"""Exact rational vectors, symmetric matrices, linear solving, PD testing and
-nonnegative-combination feasibility.
+"""Exact rational vectors, linear solving, PD testing and nonnegative-
+solution feasibility.
 
 Public values are ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms, positive denominator).  Nothing here ever rounds.  Rationals
-become integers at one boundary, clear_denominators, which scales a whole
-matrix by the lcm of its denominators; every consumer (solve_linear,
-nonneg_combination_exists, is_positive_definite and the equilibria kernel)
-then works fraction-free over the integers, so results are exact by
-construction.  symmetric_bareiss is the proof core: the one elimination
-behind positive-definiteness tests and certificate checks.  Outside it, one
+lowest terms, positive denominator).  Nothing here ever rounds.  Matrices
+are plain sequences of rows of int or Fraction entries.  Rationals become
+integers at one boundary, clear_denominators, which scales a whole matrix
+by the lcm of its denominators; every consumer (solve_linear,
+is_positive_definite, and the equilibria kernel and hull test) then works
+fraction-free over the integers, so results are exact by construction.
+symmetric_bareiss is the proof core: the one elimination behind
+positive-definiteness tests and certificate checks.  Outside it, one
 integer Gauss-Jordan pivot (_jordan_pivot) serves both the general
 solve_linear and the phase-I simplex nonneg_solution_exists, which takes
 integer rows that are already cleared.
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+Rational = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -48,11 +50,6 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(text))
-
-
-def format_rational(value: Fraction) -> str:
-    """Inverse of parse_rational; str(Fraction) already emits "p/q" / "p"."""
-    return str(value)
 
 
 class SingularError(ValueError):
@@ -119,42 +116,6 @@ class RatVector:
             raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable square matrix of rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        grid = tuple(tuple(as_rational(e) for e in row) for row in rows)
-        if any(len(row) != len(grid) for row in grid):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", grid)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def matvec(self, x: RatVector) -> RatVector:
-        if len(x) != self.n:
-            raise ValueError(f"dimension mismatch: matrix {self.n}, vector {len(x)}")
-        return RatVector(
-            sum((a * b for a, b in zip(row, x.entries)), Fraction(0)) for row in self.entries
-        )
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i] for i in range(self.n) for j in range(i)
-        )
-
-
 def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """(R, L) for rows of int or Fraction entries: L is the lcm of every
     entry's denominator and R = L * rows, an integer matrix.  Scaling the
@@ -183,13 +144,22 @@ def _jordan_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def solve_linear(A: RatMatrix, b: RatVector) -> RatVector:
-    """Solve A x = b exactly; raises SingularError on exact rank deficiency.
+def _check_square(A: Sequence[Sequence[Rational]]) -> int:
+    """The size n of an n x n matrix given as rows; ValueError otherwise."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix must be square")
+    return n
+
+
+def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> RatVector:
+    """Solve A x = b exactly for the square rows A of int or Fraction
+    entries; raises SingularError on exact rank deficiency.
 
     Column k pivots on the first row not yet pivoted whose entry is nonzero;
     when there is none, column k depends on columns 0..k-1.
     """
-    n = A.n
+    n = _check_square(A)
     if len(b) != n:
         raise ValueError(f"dimension mismatch: matrix {n}, rhs {len(b)}")
     rows, _ = clear_denominators([*A[i], b[i]] for i in range(n))
@@ -204,19 +174,6 @@ def solve_linear(A: RatMatrix, b: RatVector) -> RatVector:
     return RatVector(Fraction(rows[r][n], rows[r][k]) for k, r in enumerate(pivot_rows))
 
 
-def nonneg_combination_exists(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> bool:
-    """Is target = sum(lam_c * columns[c]) for some lam >= 0?
-
-    Clears the denominators of the rows [A | t], where A holds the columns
-    and t the target, once, and runs nonneg_solution_exists on them.
-    """
-    m = len(target)
-    cleared, _ = clear_denominators([*(col[i] for col in columns), target[i]] for i in range(m))
-    return nonneg_solution_exists(cleared)
-
-
 def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
     """Has A lam = t a solution lam >= 0, for the integer rows [A | t]?
 
@@ -226,9 +183,10 @@ def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
     (Math. Oper. Res. 2, 1977) enters the lowest column with positive
     phase-I cost (its sum over the rows whose basis is artificial) and
     breaks ratio ties by the lowest basis index, so the simplex cannot
-    cycle; an artificial that leaves never re-enters.  Every pivot is positive, so the tableau stays
-    D * B^-1 [A | I | t] with D > 0, and the target is feasible iff every
-    artificial still in the basis has right-hand side 0.
+    cycle; an artificial that leaves never re-enters.  Every pivot is
+    positive, so the tableau stays D * B^-1 [A | I | t] with D > 0, and the
+    target is feasible iff every artificial still in the basis has
+    right-hand side 0.
     """
     m, n = len(system), len(system[0]) - 1
     rows = []
@@ -304,21 +262,16 @@ def homogeneous_solution(m: list[list[int]]) -> tuple[list[int], int]:
     return X, D
 
 
-def is_positive_definite(A: RatMatrix) -> bool:
-    """Exact PD test: all leading principal minors positive (Sylvester).
+def is_positive_definite(A: Sequence[Sequence[Rational]]) -> bool:
+    """Exact PD test of the square rows A of int or Fraction entries: all
+    leading principal minors positive (Sylvester).
 
     Rejects non-symmetric input.  Runs symmetric_bareiss on the
     denominator-cleared matrix; scaling by a positive integer preserves
     definiteness.
     """
-    if not A.is_symmetric():
+    n = _check_square(A)
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
         raise ValueError("positive definiteness test requires a symmetric matrix")
-    rows, _ = clear_denominators(A.entries)
-    return symmetric_bareiss([row[r:] for r, row in enumerate(rows)]) == A.n
-
-
-def eval_quadratic(A: RatMatrix, b: RatVector, c0: Fraction, x: RatVector) -> Fraction:
-    """Evaluate x^T A x + b.x + c0 exactly."""
-    if len(x) != A.n or len(b) != A.n:
-        raise ValueError("dimension mismatch in quadratic evaluation")
-    return x.dot(A.matvec(x)) + b.dot(x) + c0
+    rows, _ = clear_denominators(A)
+    return symmetric_bareiss([row[r:] for r, row in enumerate(rows)]) == n

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from monoproof.expansion import ShadowSystem
-from monoproof.ratcore import format_rational, parse_rational
+from monoproof.ratcore import parse_rational
 
 PathLike = Union[str, Path]
 
@@ -186,7 +186,7 @@ def serialize_certificate_table(table: CertificateTable) -> str:
         fields = (
             [str(j) for j in row.system.choices]
             + [str(c) for c in row.coeffs]
-            + [format_rational(row.min_f)]
+            + [str(row.min_f)]
         )
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"

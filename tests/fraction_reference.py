@@ -1,7 +1,8 @@
 """Plain Fraction references for the exact integer routines.
 
 They share no code with monoproof: a determinant by Gaussian elimination
-with row swaps, and positive definiteness by Sylvester's criterion on it.
+with row swaps, positive definiteness by Sylvester's criterion on it, and
+the value of a form from its packed axis matrix.
 """
 
 from fractions import Fraction
@@ -29,3 +30,18 @@ def reference_is_pd(rows) -> bool:
     """Sylvester: a symmetric matrix is positive definite iff every leading
     principal minor is positive."""
     return all(reference_det([row[:k] for row in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+def unpacked(packed: list[list[int]]) -> list[list[int]]:
+    """The full symmetric matrix of packed upper-triangle rows, where
+    packed[r][c - r] is entry (r, c) for c >= r."""
+    n = len(packed)
+    return [[packed[min(r, c)][abs(c - r)] for c in range(n)] for r in range(n)]
+
+
+def form_value(packed: list[list[int]], x) -> Fraction:
+    """y^T G y / 2 at y = (x, 1): the value at x = (t_2, ..., t_(V-1)),
+    t_1 = 1, of the form whose axis matrix G is given as packed rows."""
+    y = [*x, 1]
+    total = sum(a * g * b for a, row in zip(y, unpacked(packed)) for g, b in zip(row, y))
+    return Fraction(total) / 2

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -383,14 +384,31 @@ def test_systems_summary(capsys):
     assert out.strip() == "V = 5: 24 shadowing systems, 3 free variables each"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this Python converts ints of any length to str")
 def test_systems_rejects_a_count_too_long_to_print(capsys):
     # 1999! has more digits than Python converts from int to str by default
     code, out, err = run(capsys, "systems", "--vertices", "2000")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "1999!" in err
+    assert "Traceback" not in err
+    # the edge: 1558! has exactly 4,300 digits and prints, 1559! has 4,303
+    code, out, _ = run(capsys, "systems", "--vertices", "1559")
+    assert code == 0 and len(out.split()[3]) == 4300
+    code, _, err = run(capsys, "systems", "--vertices", "1560")
+    assert code == 2 and "1559!" in err
+
+
+def test_systems_refuses_a_huge_count_before_computing_it(capsys, monkeypatch):
+    """999,999! is refused from its digit count alone: no factorial is
+    computed, on every Python."""
+    def factorial(n):
+        raise AssertionError("factorial computed")
+
+    monkeypatch.setattr(math, "factorial", factorial)
+    code, out, err = run(capsys, "systems", "--vertices", "1000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "999999!" in err
     assert "Traceback" not in err
 
 

@@ -4,21 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_reference import form_value, unpacked
 
 from monoproof.expansion import (
     NonPositiveCoefficient,
-    QuadraticForm,
     ShadowSystem,
     _axis_matrix,
     enumerate_systems,
-    inequality_form,
     inequality_forms,
     reconstruct_vertices,
     scaled_vertices,
     weighted_inequality_sum,
-    weighted_matrix,
 )
-from monoproof.ratcore import RatMatrix, RatVector
+from monoproof.ratcore import RatVector
 
 
 def rand_point(rng: random.Random, n: int) -> RatVector:
@@ -98,10 +96,10 @@ def test_reconstruction_frame_and_balance():
 
 
 def test_forms_match_reconstructed_geometry():
-    """Q_i evaluated through the expanded quadratic form must equal the
-    shadowing expression |r_i|^2 - r_i.r_j(i) computed directly from the
-    reconstructed one-axis vertices.  This ties the algebra to the geometry
-    without sharing any code path."""
+    """Q_i evaluated through its axis matrix, y^T G y / 2 at y = (x, 1),
+    must equal the shadowing expression |r_i|^2 - r_i.r_j(i) computed
+    directly from the reconstructed one-axis vertices.  This ties the
+    algebra to the geometry without sharing any code path."""
     rng = random.Random(23)
     for V in (4, 5, 6):
         for _ in range(8):
@@ -109,63 +107,48 @@ def test_forms_match_reconstructed_geometry():
             system = ShadowSystem.from_choices(V, choices)
             x = rand_point(rng, V - 2)
             rs = reconstruct_vertices(V, x)
-            for i in range(2, V + 1):
-                form = inequality_form(system, i)
+            for i, form in zip(range(2, V + 1), inequality_forms(system)):
                 ri = rs[i - 1]
                 rj = rs[system.j_of(i) - 1]
-                assert form.evaluate(x) == ri.norm_sq() - ri.dot(rj)
+                assert form_value(form, x) == ri.norm_sq() - ri.dot(rj)
 
 
 def test_constant_terms():
     # at x = 0 every non-eliminated vertex collapses to the frame, so
     # r_V = -r_1 and Q_V(0) = |r_1|^2 + |r_1|^2 = 2; all other Q_i(0) = 0
     for V in (4, 5, 6, 7):
+        origin = [0] * (V - 2)
         system = ShadowSystem(V, (1,) * (V - 1))
         forms = inequality_forms(system)
         for form in forms[:-1]:
-            assert form.c0 == 0
-        assert forms[-1].c0 == 2
+            assert form_value(form, origin) == 0
+        assert form_value(forms[-1], origin) == 2
         # with j(V) != 1 the cross term -r_V.r_j(V) vanishes at x = 0
         other = ShadowSystem(V, (1,) * (V - 2) + (2,))
-        assert inequality_forms(other)[-1].c0 == 1
+        assert form_value(inequality_forms(other)[-1], origin) == 1
 
 
 def test_form_shapes_and_hessian_integrality():
+    """Each Q_i and the weighted sum are V-1 packed integer rows, the
+    layout that search and verify eliminate."""
     system = ShadowSystem.from_choices(6, (2, 3, 1, 4))
-    n = 6 - 2
-    for form in inequality_forms(system):
-        assert form.n == n
-        assert form.A.is_symmetric()
-        for r in range(n):
-            for value in form.A[r]:
-                assert (2 * value).denominator == 1
-        assert all(v.denominator == 1 for v in form.b)
-        assert form.c0.denominator == 1
-    # search and verify eliminate the one-axis matrix: V-1 packed rows
-    assert [len(row) for row in weighted_matrix(system, (1,) * 5)] == [5, 4, 3, 2, 1]
-
-
-def test_weighted_sum_is_linear_in_weights():
-    rng = random.Random(6)
-    system = ShadowSystem.from_choices(5, (2, 3, 4))
-    coeffs = (3, 1, 7, 2)
-    doubled = tuple(2 * c for c in coeffs)
-    f = weighted_inequality_sum(system, coeffs)
-    g = weighted_inequality_sum(system, doubled)
-    for _ in range(10):
-        x = rand_point(rng, f.n)
-        assert g.evaluate(x) == 2 * f.evaluate(x)
+    forms = inequality_forms(system)
+    assert len(forms) == 6 - 1
+    for g in [*forms, weighted_inequality_sum(system, (1,) * 5)]:
+        assert [len(row) for row in g] == [5, 4, 3, 2, 1]
+        assert all(type(v) is int for row in g for v in row)
 
 
 def test_weighted_sum_equals_sum_of_parts():
+    """G(c) is sum_i c_i times the G of Q_i, entry by entry, for every
+    system at V = 4..7 with seeded weights."""
     rng = random.Random(61)
-    system = ShadowSystem.from_choices(4, (2, 1))
-    coeffs = (5, 2, 9)
-    f = weighted_inequality_sum(system, coeffs)
-    forms = inequality_forms(system)
-    for _ in range(10):
-        x = rand_point(rng, f.n)
-        assert f.evaluate(x) == sum(c * q.evaluate(x) for c, q in zip(coeffs, forms))
+    for system in (s for V in range(4, 8) for s in enumerate_systems(V)):
+        coeffs = tuple(rng.randint(1, 101) for _ in range(system.V - 1))
+        parts = inequality_forms(system)
+        expected = [[sum(c * q[r][k] for c, q in zip(coeffs, parts)) for k in range(len(row))]
+                    for r, row in enumerate(parts[0])]
+        assert weighted_inequality_sum(system, coeffs) == expected, (system.j, coeffs)
 
 
 def definition_matrix(system: ShadowSystem, weights) -> list[list[int]]:
@@ -196,11 +179,6 @@ def axis_matrix_by_definition(system: ShadowSystem, weights) -> list[list[int]]:
     return [[sum(a * b for a, b in zip(col, mb)) for mb in zip(*MB)] for col in zip(*B)]
 
 
-def unpacked(packed: list[list[int]]) -> list[list[int]]:
-    n = len(packed)
-    return [[packed[min(r, c)][abs(c - r)] for c in range(n)] for r in range(n)]
-
-
 def seeded_systems(V: int, count: int, rng: random.Random) -> list[ShadowSystem]:
     return [ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
             for _ in range(count)]
@@ -210,13 +188,13 @@ def test_weighted_matrix_is_the_definition_after_the_balance():
     """G(c) against B^T M B, built from the raw definition of g_c and the
     balance alone: every system at V = 4..7 and seeded systems at V = 8..10,
     with seeded weights and with each unit weight vector, the G behind
-    inequality_form (zero weights included, c_V among them)."""
+    inequality_forms (zero weights included, c_V among them)."""
     rng = random.Random(2024)
     systems = [s for V in range(4, 8) for s in enumerate_systems(V)]
     systems += [s for V in range(8, 11) for s in seeded_systems(V, 40, rng)]
     for system in systems:
         coeffs = tuple(rng.randint(1, 101) for _ in range(system.V - 1))
-        assert unpacked(weighted_matrix(system, coeffs)) == axis_matrix_by_definition(
+        assert unpacked(weighted_inequality_sum(system, coeffs)) == axis_matrix_by_definition(
             system, coeffs), (system.j, coeffs)
         for i in range(2, system.V + 1):
             unit = [int(l == i) for l in range(2, system.V + 1)]
@@ -237,13 +215,6 @@ def test_weighted_sum_rejects_wrong_count():
         weighted_inequality_sum(system, (1, 1))
 
 
-def test_quadratic_form_validation():
-    with pytest.raises(ValueError):
-        QuadraticForm(RatMatrix([[1, 2], [0, 1]]), RatVector([0, 0]), Fraction(0))
-    with pytest.raises(ValueError):
-        QuadraticForm(RatMatrix.identity(2), RatVector([0]), Fraction(0))
-
-
 def test_forms_against_symbolic_oracle():
     """Independent check: rebuild f for a sampled system with sympy from the
     raw shadowing definition on one axis, t_1 = 1 and the balance
@@ -262,10 +233,10 @@ def test_forms_against_symbolic_oracle():
         return t[i - 1] ** 2 - t[i - 1] * t[system.j_of(i) - 1]
 
     f_sym = sum(c * q(i) for c, i in zip(coeffs, range(2, V + 1)))
-    f = weighted_inequality_sum(system, coeffs)
-    assert f.n == len(order)
+    g = weighted_inequality_sum(system, coeffs)
+    assert len(g) - 1 == len(order)
     for _ in range(12):
-        x = rand_point(rng, f.n)
+        x = rand_point(rng, len(order))
         subs = {var: sympy.Rational(val.numerator, val.denominator)
                 for var, val in zip(order, x)}
-        assert f.evaluate(x) == sympy.Rational(f_sym.subs(subs))
+        assert form_value(g, x) == sympy.Rational(f_sym.subs(subs))

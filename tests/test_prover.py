@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from fraction_reference import reference_is_pd
+from fraction_reference import form_value, reference_is_pd, unpacked
 
 from monoproof import expansion, prover
 from monoproof.expansion import (
@@ -27,7 +27,6 @@ from monoproof.prover import (
     verify_certificate,
 )
 from monoproof.ratcore import (
-    RatMatrix,
     RatVector,
     homogeneous_solution,
     solve_linear,
@@ -44,32 +43,35 @@ KNOWN_ROWS = [
 ]
 
 
-def doubled(matrix: RatMatrix) -> RatMatrix:
-    """The Hessian 2A of a quadratic part A."""
-    return RatMatrix([[2 * e for e in row] for row in matrix.entries])
+def hessian_and_linear_part(g):
+    """(G_h, b) of an axis matrix G in packed rows: the Hessian of the form
+    f(x) = y^T G y / 2 at y = (x, 1) over x = (t_2, ..., t_(V-1)), and its
+    linear part, the last column of G without the corner."""
+    rows = unpacked(g)
+    return [row[:-1] for row in rows[:-1]], [row[-1] for row in rows[:-1]]
 
 
 def test_minimizer_has_zero_gradient():
-    """verify_certificate's minimizer x solves 2A x + b = 0 for the weighted
-    sum f(x) = x^T A x + b.x + c0 over x = (t_2, ..., t_(V-1)), and f there
-    is the reported minimum."""
+    """verify_certificate's minimizer x solves G_h x + b = 0 for the weighted
+    sum f(x) = y^T G(c) y / 2 at y = (x, 1) over x = (t_2, ..., t_(V-1)),
+    and f there is the reported minimum."""
     rng = random.Random(3)
     for V, choices, coeffs, expected in KNOWN_ROWS:
         system = ShadowSystem.from_choices(V, choices)
-        f = weighted_inequality_sum(system, coeffs)
+        g = weighted_inequality_sum(system, coeffs)
         check = verify_certificate(V, system, coeffs)
         x, value = check.minimizer, check.min_value
         assert len(x) == V - 2 and value == expected
-        gradient = doubled(f.A).matvec(x) + f.b
-        assert gradient.is_zero()
-        assert f.evaluate(x) == value
+        hessian, b = hessian_and_linear_part(g)
+        assert all(sum(h * xi for h, xi in zip(row, x)) + bi == 0 for row, bi in zip(hessian, b))
+        assert form_value(g, x) == value
         # every other point sits strictly above the minimum
         for _ in range(5):
             y = RatVector(
                 [xi + Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for xi in x]
             )
             if y != x:
-                assert f.evaluate(y) > value
+                assert form_value(g, y) > value
 
 
 @pytest.mark.parametrize("V,choices,coeffs,expected", KNOWN_ROWS)
@@ -121,13 +123,13 @@ def test_certificate_refutes_all_points():
     V, choices, coeffs, expected = KNOWN_ROWS[1]
     system = ShadowSystem.from_choices(V, choices)
     forms = inequality_forms(system)
-    f = weighted_inequality_sum(system, coeffs)
+    g = weighted_inequality_sum(system, coeffs)
     for _ in range(25):
         x = RatVector(
-            [Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(f.n)]
+            [Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(V - 2)]
         )
-        assert f.evaluate(x) >= expected
-        assert max(q.evaluate(x) for q in forms) > 0
+        assert form_value(g, x) >= expected
+        assert max(form_value(q, x) for q in forms) > 0
 
 
 def test_certificate_refutes_its_system_in_every_dimension():
@@ -277,10 +279,11 @@ def test_search_respects_coefficient_bounds():
 def test_integer_core_agrees_with_form_path():
     """verify_certificate (the one-axis (V-1) x (V-1) integer matrix, one
     symmetric Bareiss pass, fraction-free back substitution) must agree with
-    the Fraction form f = weighted_inequality_sum(...) solved by the other
-    routines: Fraction leading minors of 2A (Sylvester, sharing no code with
-    symmetric_bareiss) on the PD flag, the pivoting
-    solve_linear(2A, -b) on the minimizer and f.evaluate on the minimum.
+    the same G(c) = weighted_inequality_sum(...) solved by the other
+    routines: Fraction leading minors of its Hessian block G_h (Sylvester,
+    sharing no code with symmetric_bareiss) on the PD flag, the pivoting
+    solve_linear(G_h, -b) on the minimizer and the form's value
+    y^T G y / 2 at y = (x, 1) on the minimum.
     Cases: every 10th bundled row per V, and seeded random weights at
     V = 5..7 that include non-PD and negative draws."""
     cases = []
@@ -297,15 +300,15 @@ def test_integer_core_agrees_with_form_path():
     outcomes = Counter()
     for system, coeffs in cases:
         got = verify_certificate(system.V, system, coeffs)
-        form = weighted_inequality_sum(system, coeffs)
-        hessian = doubled(form.A)
-        assert got.hessian_pd == reference_is_pd(hessian.entries)
+        g = weighted_inequality_sum(system, coeffs)
+        hessian, b = hessian_and_linear_part(g)
+        assert got.hessian_pd == reference_is_pd(hessian)
         if not got.hessian_pd:
             assert got.min_value is None and got.minimizer is None and not got.positive
             outcomes["non_pd"] += 1
             continue
-        x = solve_linear(hessian, -form.b)
-        value = form.evaluate(x)
+        x = solve_linear(hessian, [-v for v in b])
+        value = form_value(g, x)
         assert got.minimizer == x
         assert got.min_value == value
         assert got.positive == (value > 0)
@@ -362,7 +365,7 @@ def test_audit_catches_a_corrupted_axis_matrix(corrupt, monkeypatch):
     audit in verify_certificate must reject either."""
     V, choices, coeffs, expected = KNOWN_ROWS[1]
     system = ShadowSystem.from_choices(V, choices)
-    build = expansion.weighted_matrix
+    build = expansion.weighted_inequality_sum
 
     def corrupted(system, coeffs):
         m = build(system, coeffs)
@@ -372,7 +375,7 @@ def test_audit_catches_a_corrupted_axis_matrix(corrupt, monkeypatch):
             m[0][1] += 1
         return m
 
-    monkeypatch.setattr(prover, "weighted_matrix", corrupted)
+    monkeypatch.setattr(prover, "weighted_inequality_sum", corrupted)
     audit = f"system {system.system_id} failed the geometric audit"
     with pytest.raises(RuntimeError, match=audit):
         verify_certificate(V, system, coeffs)
@@ -615,7 +618,7 @@ def dense_decision(system, coeffs):
     from fraction-free back substitution.  The minimizer is given as its
     Fractions' numerators over their least common denominator, which are
     its numerators over one positive denominator in lowest terms."""
-    m = expansion.weighted_matrix(system, coeffs)
+    m = expansion.weighted_inequality_sum(system, coeffs)
     positive_minors = symmetric_bareiss(m)
     if positive_minors < system.V - 2:
         return "non_pd"

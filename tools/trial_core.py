@@ -5,8 +5,9 @@ tuples from the default search range [1, 101], and decides every draw twice:
 
 * with ``prover._tree_trial``, the O(V) integer sweep along the system's
   tree that the search runs, and
-* with ``expansion.weighted_matrix`` and one ``ratcore.symmetric_bareiss``
-  pass on the dense (V-1) x (V-1) matrix G(c), the path verification runs.
+* with ``expansion.weighted_inequality_sum`` and one
+  ``ratcore.symmetric_bareiss`` pass on the dense (V-1) x (V-1) matrix
+  G(c), the path verification runs.
 
 It times a whole ``prover.verify_certificate`` call on each draw too: the
 dense pass, then, on a positive definite Hessian, the back substitution and
@@ -43,7 +44,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from monoproof import prover  # noqa: E402
-from monoproof.expansion import ShadowSystem, weighted_matrix  # noqa: E402
+from monoproof.expansion import ShadowSystem, weighted_inequality_sum  # noqa: E402
 from monoproof.ratcore import symmetric_bareiss  # noqa: E402
 
 VERTEX_COUNTS = range(5, 11)
@@ -118,7 +119,7 @@ def measure(cases: list) -> tuple[float, float, float, int, int]:
             swept = [prover._tree_trial(system.j, coeffs) for system, coeffs in cases]
             sweep_s = min(sweep_s, time.perf_counter() - started)
             started = time.perf_counter()
-            for m in [weighted_matrix(system, coeffs) for system, coeffs in cases]:
+            for m in [weighted_inequality_sum(system, coeffs) for system, coeffs in cases]:
                 symmetric_bareiss(m)
             dense_s = min(dense_s, time.perf_counter() - started)
             started = time.perf_counter()
