@@ -124,11 +124,22 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on cleared rows R: row a of their
-    Gram matrix is compared inline with its diagonal entry |R_a|^2, so the
-    diagonal is sign(0) = 0 by construction."""
-    gram = [[_dot(R, S) for S in rows] for R in rows]
-    return [[(g[a] > x) - (g[a] < x) for x in g] for a, g in enumerate(gram)]
+    """K[a][b] = sign(|R_a|^2 - R_a.R_b) on cleared rows R.  The Gram
+    matrix is symmetric, so only its upper triangle is computed, n(n+1)/2
+    dot products, each mirrored into the lower one as it is made.  Row a is
+    then compared inline with its diagonal entry |R_a|^2, so the diagonal
+    is sign(0) = 0 by construction."""
+    n = len(rows)
+    gram = [[0] * n for _ in rows]
+    for a, R in enumerate(rows):
+        g = gram[a]
+        for b in range(a, n):
+            g[b] = gram[b][a] = sum(map(operator.mul, R, rows[b]))
+    K = []
+    for a, g in enumerate(gram):
+        d = g[a]
+        K.append([(d > x) - (d < x) for x in g])
+    return K
 
 
 def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:

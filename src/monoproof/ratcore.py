@@ -12,7 +12,9 @@ symmetric_bareiss is the proof core: the one elimination behind
 positive-definiteness tests and certificate checks.  Outside it, one
 integer Gauss-Jordan pivot (_jordan_pivot) serves both the general
 solve_linear and the phase-I simplex nonneg_solution_exists, which takes
-integer rows that are already cleared.
+integer rows [A | t] that are already cleared and pivots on them alone:
+the artificial identity columns never enter, and a pivot step acts on
+each column on its own, so they are never stored.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[in
     whole matrix by one L > 0 keeps every sign and zero, the solution set of
     a linear system and definiteness."""
     rows = list(rows)
-    L = math.lcm(*(e.denominator for row in rows for e in row))
+    L = math.lcm(*{e.denominator for row in rows for e in row})
     return [[e.numerator * (L // e.denominator) for e in row] for row in rows], L
 
 
@@ -177,30 +179,34 @@ def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> RatV
 def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
     """Has A lam = t a solution lam >= 0, for the integer rows [A | t]?
 
-    Exact phase-I simplex on the integer tableau [A | I | t].  Each row is
-    sign-flipped so its target entry is >= 0 before the artificial identity
-    columns go on, so the starting basis is I.  Bland's rule
-    (Math. Oper. Res. 2, 1977) enters the lowest column with positive
+    Exact phase-I simplex on the integer tableau [A | t], one artificial
+    variable per row.  Each row is sign-flipped so its target entry is
+    >= 0, so the artificials form the starting basis; basis index n + i
+    stands for row i's artificial.  Their identity columns are never
+    stored: an artificial never enters, the ratio test reads only the
+    entering column and t, and a Gauss-Jordan step acts on each column on
+    its own, so dropping them changes no kept entry and no pivot.  Bland's
+    rule (Math. Oper. Res. 2, 1977) enters the lowest column with positive
     phase-I cost (its sum over the rows whose basis is artificial) and
     breaks ratio ties by the lowest basis index, so the simplex cannot
-    cycle; an artificial that leaves never re-enters.  Every pivot is
-    positive, so the tableau stays D * B^-1 [A | I | t] with D > 0, and the
-    target is feasible iff every artificial still in the basis has
-    right-hand side 0.
+    cycle.  Every pivot is positive, so the tableau stays D * B^-1 [A | t]
+    with D > 0, and the target is feasible iff every artificial still in
+    the basis has right-hand side 0.  Raises ValueError on an empty system
+    or on rows of unequal or zero length.
     """
-    m, n = len(system), len(system[0]) - 1
-    rows = []
-    for i, row in enumerate(system):
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append([*row[:-1], *(int(k == i) for k in range(m)), row[-1]])
+    width = len(system[0]) if system else 0
+    if not width or any(len(row) != width for row in system):
+        raise ValueError("need at least one row [A | t], all of one nonzero length")
+    m, n = len(system), width - 1
+    rows = [list(row) if row[-1] >= 0 else [-x for x in row] for row in system]
     basis = list(range(n, n + m))
     prev = 1
     while True:
         artificial = [row for row, col in zip(rows, basis) if col >= n]
         if all(row[-1] == 0 for row in artificial):
             return True
-        entering = next((c for c in range(n) if sum(row[c] for row in artificial) > 0), None)
+        cost = [sum(col) for col in zip(*artificial)]
+        entering = next((c for c in range(n) if cost[c] > 0), None)
         if entering is None:
             return False
         # minimum ratio t_i / a_i over a_i > 0, cross-multiplied, ties to the lowest basis index

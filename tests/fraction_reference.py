@@ -1,8 +1,9 @@
 """Plain Fraction references for the exact integer routines.
 
 They share no code with monoproof: a determinant by Gaussian elimination
-with row swaps, positive definiteness by Sylvester's criterion on it, and
-the value of a form from its packed axis matrix.
+with row swaps, positive definiteness by Sylvester's criterion on it, the
+value of a form from its packed axis matrix, and the unique solution of a
+linear system on a subset of its columns.
 """
 
 from fractions import Fraction
@@ -45,3 +46,26 @@ def form_value(packed: list[list[int]], x) -> Fraction:
     y = [*x, 1]
     total = sum(a * g * b for a, row in zip(y, unpacked(packed)) for g, b in zip(row, y))
     return Fraction(total) / 2
+
+
+def solve_column_subset(columns, subset, target):
+    """Unique solution of the column-subset system by Fraction Gauss-Jordan,
+    or None when the columns are dependent or the system is inconsistent.
+    Entries must be Fractions; the empty subset solves a zero target."""
+    m = len(target)
+    k = len(subset)
+    aug = [[columns[c][row] for c in subset] + [target[row]] for row in range(m)]
+    row = 0
+    for col in range(k):
+        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col] / aug[row][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        row += 1
+    if any(aug[r][k] != 0 for r in range(row, m)):
+        return None
+    return [aug[i][k] / aug[i][i] for i in range(k)]

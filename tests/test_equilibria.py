@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_reference import solve_column_subset
 
 from monoproof.equilibria import (
     DegenerateSimplex,
@@ -190,19 +191,27 @@ def _definition_sign(x: Fraction) -> int:
 
 def test_shadow_matrices_match_the_definition():
     """Both sign matrices against a direct Fraction loop over the definitions
-    (r_i - r_j).r_i and (q_j - q_i).q_j, in d = 2, 3, 4, with coordinates
-    p/q, |p| <= 3, q <= 3, so that degenerate (zero) entries occur and the
-    denominators differ between points."""
+    (r_i - r_j).r_i and (q_j - q_i).q_j, in d = 2, 3, 4, on 2..14 drawn
+    points (the benchmark's sets have 12), with coordinates p/q, |p| <= 3,
+    q <= 3, so that degenerate (zero) entries occur and the denominators
+    differ between points.  About half the sets gain one to three copies of
+    drawn points (up to 17 in all), so the kernel's mirrored Gram entries
+    meet ties and zero signs."""
     rng = random.Random(6)
-    zeros = signs = 0
+    zeros = signs = repeats = 0
     for _ in range(300):
         d = rng.choice((2, 3, 4))
-        n = rng.randint(2, 7)
+        n = rng.randint(2, 14)
         pts = []
         while len(pts) < n:
             p = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
             if any(p):
                 pts.append(p)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                pts.insert(rng.randrange(n + 1), list(rng.choice(pts)))
+            n = len(pts)
+            repeats += 1
         vertex_ref = [
             [0 if i == j else _definition_sign(sum((a - b) * a for a, b in zip(ri, rj)))
              for j, rj in enumerate(pts)]
@@ -225,7 +234,7 @@ def test_shadow_matrices_match_the_definition():
         assert vcfg.is_generic == (len(set(norms)) == n)
         zeros += sum(row.count(0) - 1 for row in vertex_ref)
         signs += sum(row.count(-1) for row in vertex_ref)
-    assert zeros > 0 and signs > 0
+    assert zeros > 0 and signs > 0 and repeats > 0
 
 
 def test_simplex_rejects_flat():
@@ -323,28 +332,6 @@ def test_hull_vertex_index_error():
         is_hull_vertex(PointConfig(TETRA), 7)
 
 
-def _solve_column_subset(columns, subset, target):
-    """Unique solution of the column-subset system by Fraction Gauss-Jordan,
-    or None when the columns are dependent or the system is inconsistent."""
-    m = len(target)
-    k = len(subset)
-    aug = [[columns[c][row] for c in subset] + [target[row]] for row in range(m)]
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col] / aug[row][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    if any(aug[r][k] != 0 for r in range(row, m)):
-        return None
-    return [aug[i][k] / aug[i][i] for i in range(k)]
-
-
 def reference_is_hull_vertex(points, i):
     """Column-subset oracle: a feasible nonnegative combination of the
     homogenized columns (r_j, 1) has a basic solution on at most d+1
@@ -353,7 +340,7 @@ def reference_is_hull_vertex(points, i):
     target = list(points[i]) + [Fraction(1)]
     for size in range(1, len(target) + 1):
         for subset in itertools.combinations(range(len(columns)), size):
-            lam = _solve_column_subset(columns, subset, target)
+            lam = solve_column_subset(columns, subset, target)
             if lam is not None and all(v >= 0 for v in lam):
                 return False
     return True

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from fraction_reference import reference_det
+from fraction_reference import reference_det, solve_column_subset
 
 from monoproof import ratcore
 from monoproof.ratcore import (
@@ -170,6 +171,75 @@ def test_nonneg_combination_ratio_ties_go_to_the_lowest_basis_index(monkeypatch)
     target = [1, -1, 0]
     assert in_cone(columns, target)
     assert pivots == [(2, 1), (1, 0), (2, 2)]
+
+
+def reference_nonneg_solution_exists(system) -> bool:
+    """Column-subset oracle: A lam = t has a solution lam >= 0 iff it has a
+    basic one, the unique solution on at most min(m, n) independent columns
+    of A (none when t = 0), so solving every such subset exactly decides it."""
+    columns = [[Fraction(x) for x in col] for col in zip(*system)]
+    target = columns.pop()
+    for size in range(min(len(target), len(columns)) + 1):
+        for subset in itertools.combinations(range(len(columns)), size):
+            lam = solve_column_subset(columns, subset, target)
+            if lam is not None and all(v >= 0 for v in lam):
+                return True
+    return False
+
+
+def test_nonneg_solution_exists_matches_the_subset_oracle(monkeypatch):
+    """2,000 seeded raw integer systems [A | t], 1..5 rows by 1..6 columns
+    (m < n, m = n and m > n), with zeroed rows and columns, repeated
+    columns, and zero, negative and feasible-by-construction targets.
+    Every tableau the pivot receives is [A | t] alone, n + 1 entries a row."""
+    rng = random.Random(16)
+    width = 0
+    pivots = 0
+    pivot = ratcore._jordan_pivot
+
+    def spy(rows, r, c, prev):
+        nonlocal pivots
+        assert all(len(row) == width for row in rows)
+        pivots += 1
+        return pivot(rows, r, c, prev)
+
+    monkeypatch.setattr(ratcore, "_jordan_pivot", spy)
+    seen = set()
+    for _ in range(2000):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.2:
+            A[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.2:
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = 0
+        if n > 1 and rng.random() < 0.3:
+            j, k = rng.sample(range(n), 2)
+            for row in A:
+                row[k] = row[j]
+        kind = rng.choice(("zero", "random", "combination"))
+        if kind == "zero":
+            t = [0] * m
+        elif kind == "random":
+            t = [rng.randint(-6, 6) for _ in range(m)]
+        else:
+            lam = [rng.randint(0, 2) for _ in range(n)]
+            t = [sum(a * x for a, x in zip(row, lam)) for row in A]
+        system = [[*row, b] for row, b in zip(A, t)]
+        width = n + 1
+        expected = reference_nonneg_solution_exists(system)
+        assert nonneg_solution_exists(system) is expected, system
+        seen.add((expected, (m > n) - (m < n)))
+        seen.add(("negative target", min(t) < 0))
+    assert seen >= {(v, s) for v in (True, False) for s in (-1, 0, 1)}
+    assert ("negative target", True) in seen and pivots > 0
+
+
+@pytest.mark.parametrize("system", [[], [[1, 2], [3]], [[1], [2, 3]], [[], []]])
+def test_nonneg_solution_exists_rejects_malformed_systems(system):
+    with pytest.raises(ValueError):
+        nonneg_solution_exists(system)
 
 
 def test_pd_known_cases():
