@@ -14,10 +14,10 @@ from monoproof.equilibria import (
     FaceConfig,
     OutsideError,
     PointConfig,
-    ShadowMatrix,
     count_stable,
     count_unstable,
     dawson_tips,
+    equilibrium_rows,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,

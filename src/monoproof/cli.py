@@ -22,6 +22,7 @@ from monoproof import __version__
 from monoproof.equilibria import (
     FaceConfig,
     PointConfig,
+    equilibrium_rows,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
@@ -76,9 +77,9 @@ def _resolve_table(name: str) -> tuple[Path, str]:
     if candidate.exists():
         return candidate, table_checksum(candidate)
     for V in BUNDLED_VERTEX_COUNTS:
-        if name == f"appendix_v{V}.csv":
-            digest = verify_bundled_checksum(V)  # ChecksumMismatch propagates
-            return bundled_table_path(V), digest
+        path = bundled_table_path(V)
+        if name == path.name:
+            return path, verify_bundled_checksum(V)  # ChecksumMismatch propagates
     raise FileNotFoundError(f"table {name!r}: no such file or bundled dataset")
 
 
@@ -147,10 +148,8 @@ def cmd_prove(ns: argparse.Namespace) -> int:
     return EXIT_OK if report.all_certified else EXIT_FAIL
 
 
-def _describe_row(matrix, i: int, noun: str) -> str:
-    row = matrix[i]
-    if all(v == 1 for j, v in enumerate(row) if j != i):
-        return "equilibrium"
+def _describe_row(row: tuple[int, ...], i: int, noun: str) -> str:
+    """What keeps row i of a shadow matrix from being an equilibrium."""
     shadowing = [str(j + 1) for j, v in enumerate(row) if v == -1]
     degenerate = [str(j + 1) for j, v in enumerate(row) if v == 0 and j != i]
     parts = []
@@ -173,9 +172,11 @@ def cmd_count(ns: argparse.Namespace) -> int:
             print("warning: squared vertex norms are not pairwise distinct; "
                   "degenerate contacts possible", file=sys.stderr)
         label, noun, matrix = "U", "vertex", vertex_shadow_matrix(cfg)
-    print(f"{label} = {len(matrix.equilibria())}")
-    for i in range(matrix.size):
-        print(f"{noun} {i + 1}: {_describe_row(matrix, i, noun)}")
+    found = equilibrium_rows(matrix)
+    print(f"{label} = {len(found)}")
+    for i, row in enumerate(matrix):
+        state = "equilibrium" if i in found else _describe_row(row, i, noun)
+        print(f"{noun} {i + 1}: {state}")
     return EXIT_OK
 
 

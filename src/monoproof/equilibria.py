@@ -15,6 +15,10 @@ shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
 shadow matrix is K on the face vectors, transposed.  The hull test and the
 genericity check read the same cleared rows.  Norm comparisons use squared
 norms, so no roots ever appear.
+
+A shadow matrix is the tuple of its sign rows, and equilibrium_rows is the
+one statement of the equilibrium rule on it: the counts and the `count`
+command read it alike.
 """
 
 from __future__ import annotations
@@ -98,27 +102,6 @@ class FaceConfig:
         return len(self.faces)
 
 
-@dataclass(frozen=True)
-class ShadowMatrix:
-    """Square sign matrix with zero diagonal; entry (i,j) = -1 means item i
-    is shadowed by item j."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def equilibria(self) -> list[int]:
-        """Rows whose off-diagonal entries are all +1.  A zero entry (a
-        degenerate contact) makes the row fall short, so degenerate
-        equilibria never count."""
-        return [i for i, row in enumerate(self.entries) if sum(row) == self.size - 1]
-
-
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
@@ -147,25 +130,33 @@ def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:
     return _shadow_kernel(clear_denominators((r_i, r_j))[0])[0][1]
 
 
-def vertex_shadow_matrix(cfg: PointConfig) -> ShadowMatrix:
-    """Entry (i,j) = sign((r_i - r_j).r_i): the kernel on the vertices."""
-    return ShadowMatrix(tuple(map(tuple, _shadow_kernel(cfg.cleared[0]))))
+def vertex_shadow_matrix(cfg: PointConfig) -> tuple[tuple[int, ...], ...]:
+    """Rows of signs, entry (i,j) = sign((r_i - r_j).r_i): the kernel on the
+    vertices.  -1 means vertex i is shadowed by vertex j."""
+    return tuple(map(tuple, _shadow_kernel(cfg.cleared[0])))
 
 
-def face_shadow_matrix(cfg: FaceConfig) -> ShadowMatrix:
-    """Dual sign matrix: entry (i,j) = sign((q_j - q_i).q_j), the kernel on
-    the face vectors transposed."""
-    return ShadowMatrix(tuple(zip(*_shadow_kernel(clear_denominators(cfg.faces)[0]))))
+def face_shadow_matrix(cfg: FaceConfig) -> tuple[tuple[int, ...], ...]:
+    """Dual rows of signs, entry (i,j) = sign((q_j - q_i).q_j): the kernel
+    on the face vectors transposed.  -1 means face i is shadowed by face j."""
+    return tuple(zip(*_shadow_kernel(clear_denominators(cfg.faces)[0])))
+
+
+def equilibrium_rows(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """0-based indices of the rows of a shadow matrix whose off-diagonal
+    entries are all +1 (the diagonal is 0).  A zero entry (a degenerate
+    contact) makes the row fall short, so degenerate equilibria never count."""
+    return [i for i, row in enumerate(matrix) if sum(row) == len(matrix) - 1]
 
 
 def unstable_vertices(cfg: PointConfig) -> list[int]:
     """0-based indices of vertices carrying an unstable equilibrium."""
-    return vertex_shadow_matrix(cfg).equilibria()
+    return equilibrium_rows(vertex_shadow_matrix(cfg))
 
 
 def stable_faces(cfg: FaceConfig) -> list[int]:
     """0-based indices of faces carrying a stable equilibrium."""
-    return face_shadow_matrix(cfg).equilibria()
+    return equilibrium_rows(face_shadow_matrix(cfg))
 
 
 def count_unstable(cfg: PointConfig) -> int:

@@ -27,11 +27,14 @@ value and the zero gradient of sum_i c_i (t_i^2 - t_i t_j(i)) over x in
 integers.
 
 The search decides each trial in O(V) integer steps instead, by eliminating
-the leaves of the system's tree (_tree_trial), with the same classes: a
-Hessian that is not positive definite, a nonpositive minimum, or a
-certificate with its exact minimum and minimizer, all in integers.  Only
-a draw where that sweep meets a zero pivot, a fraction of a percent of
-draws, is decided by verify_certificate on G(c).
+the leaves of the system's tree (_tree_trial).  Both witnesses give one
+verdict shape, a TrialOutcome: "non_pd" for a Hessian that is not positive
+definite, "negative" for a nonpositive minimum, or, for a certificate, the
+triple (min_value, minimizer_num, minimizer_den), which
+VerifyResult.outcome gives for G(c).  Only a draw where the sweep meets a
+zero pivot, a fraction of a percent of draws, is decided by
+verify_certificate, and prove_unsolvable re-checks each certificate by
+comparing the two triples.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister),
@@ -123,6 +126,10 @@ class Exhausted(NamedTuple):
 
 SystemResult = Union[Certificate, Exhausted]
 
+# A trial's verdict: "non_pd", "negative", or a certificate's exact minimum
+# and its minimizer's numerators over one positive denominator.
+TrialOutcome = Union[str, tuple[Fraction, tuple[int, ...], int]]
+
 
 class VerifyResult(NamedTuple):
     """Deterministic recheck of a coefficient tuple for one system.  With a
@@ -141,6 +148,16 @@ class VerifyResult(NamedTuple):
         if self.minimizer_num is None:
             return None
         return RatVector(Fraction(x, self.minimizer_den) for x in self.minimizer_num)
+
+    @property
+    def outcome(self) -> TrialOutcome:
+        """The verdict in _tree_trial's terms: "non_pd", "negative", or
+        (min_value, minimizer_num, minimizer_den) for a certificate."""
+        if not self.hessian_pd:
+            return "non_pd"
+        if not self.positive:
+            return "negative"
+        return self.min_value, self.minimizer_num, self.minimizer_den
 
 
 def _audit(system: ShadowSystem, coeffs: Sequence[int], X: list[int], D: int, d_last: int) -> None:
@@ -185,7 +202,7 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     return VerifyResult(True, Fraction(d_last, 2 * D), d_last > 0, *_lowest_terms(X, D))
 
 
-def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
+def _tree_trial(j: Sequence[int], coeffs: Sequence[int]) -> Optional[TrialOutcome]:
     """Decide one trial along the system's tree in O(V) integer steps.
 
     With t_1 = 0, 2 g_c restricted to {sum t = 0} is positive definite
@@ -202,10 +219,10 @@ def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
     Cramer's rule, since beta is the determinant of the bordered matrix.
 
     Returns None at a zero pivot, where the dense path decides; otherwise
-    "non_pd", "negative", or, for a certificate, integers (top, bottom, num,
-    den): the exact minimum top / bottom, and the minimizer's numerators
-    over one positive denominator in lowest terms, as verify_certificate
-    gives them.
+    the verdict that verify_certificate(...).outcome gives: "non_pd",
+    "negative", or, for a certificate, (min_value, num, den), the exact
+    minimum as a Fraction and the minimizer's numerators over one positive
+    denominator in lowest terms.
     """
     V = len(coeffs) + 1
     num = [0, 0, *(2 * c for c in coeffs)]  # indexed by vertex, 1..V
@@ -237,7 +254,7 @@ def _tree_trial(j: Sequence[int], coeffs: Sequence[int]):
     U = [0, beta, *[0] * (V - 2)]
     for k in range(2, V):
         U[k] = (coeffs[k - 2] * den[k] * U[j[k - 2]] + bn[k] * B1) // num[k]
-    return (top, bottom, *_lowest_terms(U[2:V], beta))
+    return (Fraction(top, bottom), *_lowest_terms(U[2:V], beta))
 
 
 def _draws(rng: random.Random, cfg: SearchConfig, size: int) -> Iterator[tuple[int, ...]]:
@@ -272,20 +289,15 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     negative, non_pd = 0, 0
     draws = _draws(random.Random(cfg.base_seed), cfg, system.V - 1)
     for trial, coeffs in zip(range(1, cfg.max_trials + 1), draws):
-        outcome = _tree_trial(system.j, coeffs)
-        if outcome is None:
-            check = verify_certificate(system.V, system, coeffs)
-            if check.hessian_pd and check.positive:
-                return Certificate(system, coeffs, check.minimizer_num, check.minimizer_den,
-                                   check.min_value, trial)
-            outcome = "negative" if check.hessian_pd else "non_pd"
+        outcome = (_tree_trial(system.j, coeffs)
+                   or verify_certificate(system.V, system, coeffs).outcome)
         if outcome == "non_pd":
             non_pd += 1
         elif outcome == "negative":
             negative += 1
         else:
-            top, bottom, num, den = outcome
-            return Certificate(system, coeffs, num, den, Fraction(top, bottom), trial)
+            min_value, num, den = outcome
+            return Certificate(system, coeffs, num, den, min_value, trial)
     return Exhausted(
         system=system,
         trials=cfg.max_trials,
@@ -396,9 +408,7 @@ def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) 
     for result in results:
         if isinstance(result, Certificate):
             check = verify_certificate(V, result.system, result.coeffs)
-            if not (check.hessian_pd and check.positive and check.min_value == result.min_value
-                    and check.minimizer_num == result.minimizer_num
-                    and check.minimizer_den == result.minimizer_den):
+            if check.outcome != (result.min_value, result.minimizer_num, result.minimizer_den):
                 raise RuntimeError(
                     f"internal error: certificate for system {result.system.system_id} "
                     "failed exact re-verification"

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence, Union
 RationalLike = Union[Fraction, int, str]
 Rational = Union[Fraction, int]
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # ASCII digits only, unlike \d
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -43,7 +43,8 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format "p/q" (or "p" when q=1), minus sign on p only."""
+    """Parse the wire format "p/q" (or "p" when q=1), minus sign on p only,
+    in ASCII digits."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}")
     if "/" in text:

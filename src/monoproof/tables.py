@@ -96,13 +96,15 @@ def _expected_header(V: int) -> list[str]:
 def _row_error(record: list[str], V: int, line: int) -> Optional[ParseError]:
     """The error for the first bad field of a row in column order (a
     malformed or out-of-range j, a malformed or nonpositive c, a malformed
-    min_f), or None."""
+    min_f), or None.  An integer field is ASCII digits after an optional
+    minus sign; int() alone would also take "+4", " 4", "4_0" and non-ASCII
+    digits."""
     for k, text in enumerate(record[:-1]):
         kind, i = ("j", k + 3) if k < V - 2 else ("c", k - V + 4)
-        try:
-            value = int(text)
-        except ValueError:
+        digits = text[1:] if text[:1] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
             return ParseError(f"{kind}_{i} must be an integer, got {text!r}", line)
+        value = int(text)
         if kind == "j" and not 1 <= value <= i - 1:
             return RangeError(f"j_{i} = {value} out of range 1..{i - 1}", line)
         if kind == "c" and value < 1:
@@ -132,7 +134,8 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
     U+FFFD, which no field accepts, so they fail as a malformed field of
     their line.
 
-    Each row is read in one pass: its integer fields are converted at once,
+    Each row is read in one pass: one test that its j and c fields are all
+    ASCII digits, then its integer fields are converted at once,
     ShadowSystem checks the j ranges and TableRow the c signs.  Only a row
     that fails there is rescanned field by field (_row_error), so that the
     first bad field in column order is the one reported.
@@ -157,8 +160,12 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
                 continue
             if len(record) != width:
                 raise ParseError(f"expected {width} fields, got {len(record)}", line)
+            fields = record[:-1]
+            digits = "".join(fields)  # j and c are positive: ASCII digits only
             try:
-                values = list(map(int, record[:-1]))
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError("integer field not in ASCII digits")
+                values = list(map(int, fields))
                 row = TableRow(
                     system=ShadowSystem.from_choices(V, values[: V - 2]),
                     coeffs=tuple(values[V - 2 :]),

@@ -223,8 +223,8 @@ def test_shadow_matrices_match_the_definition():
             for i, qi in enumerate(pts)
         ]
         vcfg, fcfg = PointConfig(pts), FaceConfig(pts)
-        assert [list(row) for row in vertex_shadow_matrix(vcfg).entries] == vertex_ref
-        assert [list(row) for row in face_shadow_matrix(fcfg).entries] == face_ref
+        assert [list(row) for row in vertex_shadow_matrix(vcfg)] == vertex_ref
+        assert [list(row) for row in face_shadow_matrix(fcfg)] == face_ref
         full = [[i for i, row in enumerate(ref) if all(v == 1 for j, v in enumerate(row)
                                                        if j != i)]
                 for ref in (vertex_ref, face_ref)]

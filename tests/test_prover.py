@@ -498,16 +498,17 @@ def test_search_draws_the_randint_stream(low, high, monkeypatch):
         assert drawn == [tuple(rng.randint(low, high) for _ in range(4)) for _ in range(40)]
 
 
-@pytest.mark.parametrize("field", ["minimizer_num", "min_value"])
+@pytest.mark.parametrize("field", ["minimizer_num", "minimizer_den", "min_value"])
 def test_prove_refuses_a_certificate_that_fails_re_verification(field, monkeypatch):
-    """A certificate whose minimizer has one numerator off by one, or whose
-    exact minimum is off, stops prove_unsolvable."""
+    """A certificate whose minimizer has one numerator or its denominator
+    off by one, or whose exact minimum is off, stops prove_unsolvable."""
     search = prover.search_certificate
 
     def tampered(system, cfg):
         result = search(system, cfg)
         num, value = result.minimizer_num, result.min_value
         off = {"minimizer_num": (num[0] + 1, *num[1:]),
+               "minimizer_den": result.minimizer_den + 1,
                "min_value": Fraction(value.numerator + 1, value.denominator)}
         return result._replace(**{field: off[field]})
 
@@ -630,16 +631,6 @@ def dense_decision(system, coeffs):
     return Fraction(m[-1][0], 2 * D), tuple(v.numerator * (den // v.denominator) for v in x), den
 
 
-def swept(system, coeffs):
-    """prover._tree_trial's outcome, with a certificate's integer minimum
-    top / bottom as one Fraction."""
-    got = prover._tree_trial(system.j, coeffs)
-    if isinstance(got, tuple):
-        top, bottom, num, den = got
-        return Fraction(top, bottom), num, den
-    return got
-
-
 def dense_search(system, cfg):
     """search_certificate with every trial decided by dense_decision."""
     rng = random.Random(cfg.base_seed)
@@ -670,11 +661,12 @@ def test_tree_sweep_agrees_with_the_dense_path():
             system = ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
             top = rng.choice((5, 101, 3000))
             coeffs = tuple(rng.randint(1, top) for _ in range(V - 1))
-            got = swept(system, coeffs)
+            got = prover._tree_trial(system.j, coeffs)
             if got is None:
                 outcomes["zero pivot"] += 1
                 continue
             assert got == dense_decision(system, coeffs), (system.j, coeffs)
+            assert got == verify_certificate(V, system, coeffs).outcome, (system.j, coeffs)
             outcomes[got if isinstance(got, str) else "certified"] += 1
     assert min(outcomes[kind] for kind in ("non_pd", "negative", "certified")) > 0, outcomes
 
@@ -685,7 +677,7 @@ def test_tree_sweep_on_every_bundled_row():
     rows = 0
     for V in (4, 5, 6, 7):
         for row in parse_certificate_table(bundled_table_path(V)).rows:
-            min_value, num, den = swept(row.system, row.coeffs)
+            min_value, num, den = prover._tree_trial(row.system.j, row.coeffs)
             check = verify_certificate(V, row.system, row.coeffs)
             assert min_value == row.min_f
             assert (num, den) == (check.minimizer_num, check.minimizer_den)

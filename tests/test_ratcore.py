@@ -27,7 +27,8 @@ def test_parse_rational_basic():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "3 / 4", "+5", "1/-2", "a", "1e3"])
+@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "3 / 4", "+5", "1/-2", "a", "1e3",
+                                 "\u0663/\u0664"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

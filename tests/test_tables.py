@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,20 @@ def test_malformed_j_reports_its_line(tmp_path):
     assert info.value.line == 5
 
 
+# int() would take a sign, surrounding spaces, underscores and non-ASCII
+# digits, and every row of the table would still verify
+@pytest.mark.parametrize("field, bad", [("c_3", "+94"), ("c_3", " 94"), ("c_3", "9_4"),
+                                        ("c_3", "\u0669\u0664"), ("j_4", "+1"),
+                                        ("j_4", "\u0661")])
+def test_integer_fields_take_ascii_digits_only(tmp_path, field, bad):
+    path = write_table(tmp_path, with_fields(bundled_lines(), 4, **{field: bad}))
+    message = re.escape(f"{field} must be an integer, got {bad!r}")
+    with pytest.raises(ParseError, match=message) as info:
+        parse_certificate_table(path)
+    assert type(info.value) is ParseError
+    assert info.value.line == 4
+
+
 def test_non_positive_coefficient(tmp_path):
     lines = bundled_lines()
     parts = lines[1].split(",")
@@ -188,7 +203,7 @@ def test_non_positive_coefficient(tmp_path):
         parse_certificate_table(path)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "7/0", "", "3 / 4"])
+@pytest.mark.parametrize("bad", ["1.5", "7/0", "", "3 / 4", "\u0661\u0663/\u0669"])
 def test_bad_minimum_field(tmp_path, bad):
     lines = bundled_lines()
     parts = lines[1].split(",")

@@ -5,25 +5,23 @@ tuples from the default search range [1, 101], and decides every draw twice:
 
 * with ``prover._tree_trial``, the O(V) integer sweep along the system's
   tree that the search runs, and
-* with ``expansion.weighted_inequality_sum`` and one
+* with ``prover.verify_certificate``, the path verification runs: one
   ``ratcore.symmetric_bareiss`` pass on the dense (V-1) x (V-1) matrix
-  G(c), the path verification runs.
+  G(c), then, on a positive definite Hessian, the back substitution and
+  the geometric audit.
 
-It times a whole ``prover.verify_certificate`` call on each draw too: the
-dense pass, then, on a positive definite Hessian, the back substitution and
-the geometric audit.  And it draws the V-1 coefficients of as many trials
-twice from the stream random.Random(V): with ``prover._draws``, as the
-search does, and with ``random.Random.randint`` per coefficient, as the
-search once did.
+And it draws the V-1 coefficients of as many trials twice from the stream
+random.Random(V): with ``prover._draws``, as the search does, and with
+``random.Random.randint`` per coefficient, as the search once did.
 
-It prints the microseconds per trial of each ("sweep", "dense", "verify",
-"draw" and "randint"; the fastest of five passes over the draws), the
-number of stream mismatches ("off-stream": trials whose ``_draws`` tuple
-differs from the randint one), the number of zero pivots (the draws the
-search hands to the dense path), and the number of mismatches: draws where
-the sweep's class, or on a certificate its exact minimum or minimizer,
-differs from that of ``prover.verify_certificate``, which the search falls
-back on at a zero pivot, run outside the timing.
+It prints the microseconds per trial of each ("sweep", "verify", "draw"
+and "randint"; the fastest of five passes over the draws), the number of
+stream mismatches ("off-stream": trials whose ``_draws`` tuple differs
+from the randint one), the number of zero pivots (the draws the search
+hands to the dense path), and the number of mismatches: draws where the
+sweep's verdict, its class or a certificate's exact minimum and minimizer,
+differs from ``VerifyResult.outcome``, which the search falls back on at a
+zero pivot.
 
     python3 tools/trial_core.py [--draws N]
 
@@ -38,14 +36,12 @@ import itertools
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from monoproof import prover  # noqa: E402
-from monoproof.expansion import ShadowSystem, weighted_inequality_sum  # noqa: E402
-from monoproof.ratcore import symmetric_bareiss  # noqa: E402
+from monoproof.expansion import ShadowSystem  # noqa: E402
 
 VERTEX_COUNTS = range(5, 11)
 REPEATS = 5
@@ -58,25 +54,6 @@ def draws(V: int, count: int, rng: random.Random) -> list:
          tuple(rng.randint(1, 101) for _ in range(V - 1)))
         for _ in range(count)
     ]
-
-
-def swept_outcome(got: object) -> object:
-    """_tree_trial's outcome, a certificate's minimum top / bottom as one
-    Fraction."""
-    if isinstance(got, tuple):
-        top, bottom, num, den = got
-        return Fraction(top, bottom), num, den
-    return got
-
-
-def dense_outcome(system: ShadowSystem, coeffs: tuple) -> object:
-    """A trial's class from verify_certificate, in swept_outcome's terms."""
-    check = prover.verify_certificate(system.V, system, coeffs)
-    if not check.hessian_pd:
-        return "non_pd"
-    if not check.positive:
-        return "negative"
-    return check.min_value, check.minimizer_num, check.minimizer_den
 
 
 def measure_draws(V: int, count: int, seed: int) -> tuple[float, float, int]:
@@ -103,15 +80,15 @@ def measure_draws(V: int, count: int, seed: int) -> tuple[float, float, int]:
     return direct_s * 1e6 / count, randint_s * 1e6 / count, mismatches
 
 
-def measure(cases: list) -> tuple[float, float, float, int, int]:
-    """(sweep us, dense us, verify us, zero pivots, mismatches) over ``cases``.
+def measure(cases: list) -> tuple[float, float, int, int]:
+    """(sweep us, verify us, zero pivots, mismatches) over ``cases``.
 
     Each time is the fastest of REPEATS alternating passes, as the host's
     cores change speed from one pass to the next, and runs with the garbage
     collector off, as in timeit: the draws and results held here would
     otherwise make each collection, and so each path, slower than in a
     search."""
-    sweep_s = dense_s = verify_s = float("inf")
+    sweep_s = verify_s = float("inf")
     gc.disable()
     try:
         for _ in range(REPEATS):
@@ -119,23 +96,16 @@ def measure(cases: list) -> tuple[float, float, float, int, int]:
             swept = [prover._tree_trial(system.j, coeffs) for system, coeffs in cases]
             sweep_s = min(sweep_s, time.perf_counter() - started)
             started = time.perf_counter()
-            for m in [weighted_inequality_sum(system, coeffs) for system, coeffs in cases]:
-                symmetric_bareiss(m)
-            dense_s = min(dense_s, time.perf_counter() - started)
-            started = time.perf_counter()
-            for system, coeffs in cases:
-                prover.verify_certificate(system.V, system, coeffs)
+            checked = [prover.verify_certificate(system.V, system, coeffs)
+                       for system, coeffs in cases]
             verify_s = min(verify_s, time.perf_counter() - started)
     finally:
         gc.enable()
-    zeros = mismatches = 0
-    for got, (system, coeffs) in zip(swept, cases):
-        if got is None:
-            zeros += 1
-        else:
-            mismatches += swept_outcome(got) != dense_outcome(system, coeffs)
+    zeros = swept.count(None)
+    mismatches = sum(got is not None and got != check.outcome
+                     for got, check in zip(swept, checked))
     per_trial = 1e6 / len(cases)
-    return sweep_s * per_trial, dense_s * per_trial, verify_s * per_trial, zeros, mismatches
+    return sweep_s * per_trial, verify_s * per_trial, zeros, mismatches
 
 
 def main(argv=None) -> int:
@@ -148,10 +118,10 @@ def main(argv=None) -> int:
     total = 0
     for V in VERTEX_COUNTS:
         draw_us, randint_us, stream = measure_draws(V, ns.draws, V)
-        sweep_us, dense_us, verify_us, zeros, mismatches = measure(draws(V, ns.draws, rng))
+        sweep_us, verify_us, zeros, mismatches = measure(draws(V, ns.draws, rng))
         total += stream + mismatches
-        print(f"V={V:<3} {ns.draws} draws  sweep {sweep_us:6.1f} us  dense {dense_us:6.1f} us"
-              f"  verify {verify_us:6.1f} us  draw {draw_us:5.2f} us  randint {randint_us:5.2f} us"
+        print(f"V={V:<3} {ns.draws} draws  sweep {sweep_us:6.1f} us  verify {verify_us:6.1f} us"
+              f"  draw {draw_us:5.2f} us  randint {randint_us:5.2f} us"
               f"  off-stream {stream}  zero pivots {zeros}  mismatches {mismatches}")
     return 1 if total else 0
 
