@@ -21,7 +21,6 @@ from monoproof.equilibria import (
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
-    shadow_sign,
     simplex_area_vectors,
     simplex_face_vectors,
     vertex_shadow_matrix,
@@ -30,7 +29,6 @@ from monoproof.expansion import (
     NonPositiveCoefficient,
     ShadowSystem,
     enumerate_systems,
-    reconstruct_vertices,
 )
 from monoproof.prover import (
     Certificate,

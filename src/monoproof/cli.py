@@ -35,6 +35,7 @@ from monoproof.prover import (
     prove_unsolvable,
     verify_certificate,
 )
+from monoproof.ratcore import parse_integer
 from monoproof.tables import (
     BUNDLED_VERTEX_COUNTS,
     ChecksumMismatch,
@@ -236,12 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prove", help="search certificates for all systems of one V")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--coeff-min", type=int, default=SearchConfig.coeff_min)
-    p.add_argument("--coeff-max", type=int, default=SearchConfig.coeff_max)
-    p.add_argument("--max-trials", type=int, default=SearchConfig.max_trials)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--vertices", type=parse_integer, required=True)
+    p.add_argument("--seed", type=parse_integer, required=True)
+    p.add_argument("--coeff-min", type=parse_integer, default=SearchConfig.coeff_min)
+    p.add_argument("--coeff-max", type=parse_integer, default=SearchConfig.coeff_max)
+    p.add_argument("--max-trials", type=parse_integer, default=SearchConfig.max_trials)
+    p.add_argument("--jobs", type=parse_integer, default=1)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.set_defaults(func=cmd_prove)
 
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("systems", help="enumerate shadowing systems")
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", type=parse_integer, required=True)
     p.add_argument("--list", action="store_true", help="print every system")
     p.set_defaults(func=cmd_systems)
 

@@ -42,10 +42,6 @@ class OutsideError(ValueError):
     """Reference point is not strictly interior to the simplex."""
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _vectors(items: Iterable[Sequence[RationalLike] | RatVector], noun: str) -> tuple:
     """At least two RatVectors of one positive dimension, or ValueError."""
     vecs = tuple(v if isinstance(v, RatVector) else RatVector(v) for v in items)
@@ -80,7 +76,7 @@ class PointConfig:
     @property
     def is_generic(self) -> bool:
         """True when all squared vertex norms are pairwise distinct."""
-        norms = [_dot(R, R) for R in self.cleared[0]]
+        norms = [sum(map(operator.mul, R, R)) for R in self.cleared[0]]
         return len(set(norms)) == len(norms)
 
 
@@ -96,14 +92,6 @@ class FaceConfig:
         if any(q.is_zero() for q in vecs):
             raise ValueError("face vectors must be nonzero")
         object.__setattr__(self, "faces", vecs)
-
-    @property
-    def F(self) -> int:
-        return len(self.faces)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(operator.mul, a, b))
 
 
 def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -125,11 +113,6 @@ def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return K
 
 
-def shadow_sign(r_i: RatVector, r_j: RatVector) -> int:
-    """sign((r_i - r_j).r_i); -1 means p_i is shadowed by p_j."""
-    return _shadow_kernel(clear_denominators((r_i, r_j))[0])[0][1]
-
-
 def vertex_shadow_matrix(cfg: PointConfig) -> tuple[tuple[int, ...], ...]:
     """Rows of signs, entry (i,j) = sign((r_i - r_j).r_i): the kernel on the
     vertices.  -1 means vertex i is shadowed by vertex j."""
@@ -149,24 +132,14 @@ def equilibrium_rows(matrix: Sequence[Sequence[int]]) -> list[int]:
     return [i for i, row in enumerate(matrix) if sum(row) == len(matrix) - 1]
 
 
-def unstable_vertices(cfg: PointConfig) -> list[int]:
-    """0-based indices of vertices carrying an unstable equilibrium."""
-    return equilibrium_rows(vertex_shadow_matrix(cfg))
-
-
-def stable_faces(cfg: FaceConfig) -> list[int]:
-    """0-based indices of faces carrying a stable equilibrium."""
-    return equilibrium_rows(face_shadow_matrix(cfg))
-
-
 def count_unstable(cfg: PointConfig) -> int:
     """Number of (nondegenerate) unstable vertex equilibria."""
-    return len(unstable_vertices(cfg))
+    return len(equilibrium_rows(vertex_shadow_matrix(cfg)))
 
 
 def count_stable(cfg: FaceConfig) -> int:
     """Number of (nondegenerate) stable face equilibria."""
-    return len(stable_faces(cfg))
+    return len(equilibrium_rows(face_shadow_matrix(cfg)))
 
 
 def _tetrahedron(vertices: Sequence[RatVector]) -> list[RatVector]:
@@ -194,7 +167,7 @@ def simplex_face_vectors(vertices: Sequence[RatVector], o: RatVector) -> FaceCon
         normal = (b - a).cross(c - a)
         side_o = normal.dot(o - a)
         side_v = normal.dot(vertices[i] - a)
-        if side_o == 0 or _sign(side_o) != _sign(side_v):
+        if side_o * side_v <= 0:  # o on the face plane or across it from vertex i
             raise OutsideError("reference point is not strictly inside the simplex")
         qs.append(normal.scale(normal.dot(a - o) / normal.norm_sq()))
     return FaceConfig(qs)

@@ -32,17 +32,15 @@ i -> j(i) without building G(c), except at a zero pivot (see prover).
 G(c) is the only representation of a form: inequality_forms gives the G of
 each Q_i on its own, and G(c) is their sum weighted by c.  Over the V-2 free
 coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, a form's value is y^T G y / 2
-at y = (x, 1).
+at y = (x, 1).  A minimizer stays in integers, X = D x over one denominator
+D, and scaled_vertices rebuilds D t_1, ..., D t_V from it without the forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
-
-from monoproof.ratcore import RatVector
 
 
 class NonPositiveCoefficient(ValueError):
@@ -83,11 +81,6 @@ class ShadowSystem:
     def from_choices(cls, V: int, choices: Sequence[int]) -> "ShadowSystem":
         """Build from the (j(3), ..., j(V)) part, with j(2) = 1 implicit."""
         return cls(V, (1, *choices))
-
-    def j_of(self, i: int) -> int:
-        if not 2 <= i <= self.V:
-            raise ValueError(f"vertex index {i} out of range 2..{self.V}")
-        return self.j[i - 2]
 
     @property
     def choices(self) -> tuple[int, ...]:
@@ -167,11 +160,3 @@ def scaled_vertices(x: Sequence, scale) -> list:
     t_1 = 1, with the balance t_V = -(t_1 + ... + t_(V-1)).  Shares no code
     with the forms above."""
     return [scale, *x, -scale - sum(x)]
-
-
-def reconstruct_vertices(V: int, x: RatVector) -> list[RatVector]:
-    """The one-dimensional vertices t_1..t_V encoded by x = (t_2, ..., t_(V-1)):
-    t_1 = 1, the free coordinates, and the balance-eliminated t_V."""
-    if len(x) != V - 2:
-        raise ValueError(f"expected {V - 2} coordinates, got {len(x)}")
-    return [RatVector([t]) for t in scaled_vertices(x.entries, Fraction(1))]

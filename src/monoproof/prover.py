@@ -14,17 +14,15 @@ positive.  Then the one-axis form g_c is positive definite on {sum t = 0}
 with minimum d_(V-1) / (2 d_(V-2)) at t_1 = 1, and since f is g_c summed
 over the coordinate axes, f >= that minimum times |r_1|^2 in every
 dimension: the certificate refutes its system for 0-skeletons in R^d for
-all d, not only in R^3.  One pass of
-ratcore.symmetric_bareiss yields those minors, and the minimizer, the V-2
-free coordinates x = (t_2, ..., t_(V-1)) at t_1 = 1, comes from
-fraction-free back substitution.  The minimum is returned as a Fraction,
-the minimizer as integer numerators over one positive denominator in lowest
-terms (a RatVector only when read as ``minimizer``), so the search and
+all d, not only in R^3.  One pass of ratcore.symmetric_bareiss yields those
+minors, and the minimizer, the V-2 free coordinates x = (t_2, ..., t_(V-1))
+at t_1 = 1, comes from fraction-free back substitution.  The minimum is
+returned as a Fraction and the minimizer only as integers: numerators over
+one positive denominator in lowest terms, so the search and
 re-verification compare integers.  verify_certificate then audits the
-result on the geometry itself:
-it rebuilds the scaled vertices t_1..t_V from the minimizer and checks the
-value and the zero gradient of sum_i c_i (t_i^2 - t_i t_j(i)) over x in
-integers.
+result on the geometry itself: it rebuilds the scaled vertices t_1..t_V
+from those integers with expansion.scaled_vertices and checks the value and
+the zero gradient of sum_i c_i (t_i^2 - t_i t_j(i)) over x in integers.
 
 The search decides each trial in O(V) integer steps instead, by eliminating
 the leaves of the system's tree (_tree_trial).  Both witnesses give one
@@ -60,7 +58,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from monoproof.ratcore import RatVector, homogeneous_solution, symmetric_bareiss
+from monoproof.ratcore import homogeneous_solution, symmetric_bareiss
 from monoproof.expansion import (ShadowSystem, enumerate_systems, scaled_vertices,
                                  weighted_inequality_sum)
 
@@ -101,7 +99,7 @@ class Certificate(NamedTuple):
     coefficients with PD Hessian, positive exact minimum, and the exact
     minimizer x = (t_2, ..., t_(V-1)) at t_1 = 1 as integer numerators
     minimizer_num over one positive denominator minimizer_den, in lowest
-    terms.  ``minimizer`` builds x as a RatVector on access."""
+    terms."""
 
     system: ShadowSystem
     coeffs: tuple[int, ...]
@@ -109,10 +107,6 @@ class Certificate(NamedTuple):
     minimizer_den: int
     min_value: Fraction
     trials: int = 1
-
-    @property
-    def minimizer(self) -> RatVector:
-        return RatVector(Fraction(x, self.minimizer_den) for x in self.minimizer_num)
 
 
 class Exhausted(NamedTuple):
@@ -134,20 +128,13 @@ TrialOutcome = Union[str, tuple[Fraction, tuple[int, ...], int]]
 class VerifyResult(NamedTuple):
     """Deterministic recheck of a coefficient tuple for one system.  With a
     PD Hessian it holds the exact minimum and, as in Certificate, the
-    minimizer's numerators over one positive denominator in lowest terms;
-    ``minimizer`` builds it as a RatVector on access."""
+    minimizer's numerators over one positive denominator in lowest terms."""
 
     hessian_pd: bool
     min_value: Optional[Fraction]
     positive: bool
     minimizer_num: Optional[tuple[int, ...]] = None
     minimizer_den: Optional[int] = None
-
-    @property
-    def minimizer(self) -> Optional[RatVector]:
-        if self.minimizer_num is None:
-            return None
-        return RatVector(Fraction(x, self.minimizer_den) for x in self.minimizer_num)
 
     @property
     def outcome(self) -> TrialOutcome:

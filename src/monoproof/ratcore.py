@@ -42,6 +42,20 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def parse_integer(text: str) -> int:
+    """Parse an integer as the wire format writes it: an optional minus
+    sign, then ASCII digits.  int() alone would also take "+4", " 4", "4_0"
+    and other scripts' digits.  Also raises ValueError, as int() does, past
+    Python's int-to-str digit limit."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"must be an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"has {len(digits)} digits, past Python's int-to-str limit") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format "p/q" (or "p" when q=1), minus sign on p only,
     in ASCII digits."""
@@ -80,10 +94,6 @@ class RatVector:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
-
-    def __add__(self, other: "RatVector") -> "RatVector":
-        self._check_len(other)
-        return RatVector(a + b for a, b in zip(self.entries, other.entries))
 
     def __sub__(self, other: "RatVector") -> "RatVector":
         self._check_len(other)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from monoproof.expansion import ShadowSystem
-from monoproof.ratcore import parse_rational
+from monoproof.ratcore import parse_integer, parse_rational
 
 PathLike = Union[str, Path]
 
@@ -46,6 +46,15 @@ class ChecksumMismatch(RuntimeError):
     """A bundled dataset differs from its recorded checksum."""
 
 
+def _row_count(V: int) -> str:
+    """(V-1)!, the number of rows of a table for V: in digits, or past
+    Python's int-to-str limit as the factorial itself, such as "1999!"."""
+    try:
+        return str(math.factorial(V - 1))
+    except ValueError:
+        return f"{V - 1}!"
+
+
 @dataclass(frozen=True)
 class TableRow:
     system: ShadowSystem
@@ -67,10 +76,9 @@ class CertificateTable:
     rows: tuple[TableRow, ...]
 
     def __post_init__(self):
-        expected = math.factorial(self.V - 1)
-        if len(self.rows) != expected:
+        if len(self.rows) != math.factorial(self.V - 1):
             raise ValueError(
-                f"table for V={self.V} must have {expected} rows, got {len(self.rows)}"
+                f"table for V={self.V} must have {_row_count(self.V)} rows, got {len(self.rows)}"
             )
         for pos, row in enumerate(self.rows):
             if row.system.V != self.V:
@@ -95,16 +103,15 @@ def _expected_header(V: int) -> list[str]:
 
 def _row_error(record: list[str], V: int, line: int) -> Optional[ParseError]:
     """The error for the first bad field of a row in column order (a
-    malformed or out-of-range j, a malformed or nonpositive c, a malformed
-    min_f), or None.  An integer field is ASCII digits after an optional
-    minus sign; int() alone would also take "+4", " 4", "4_0" and non-ASCII
-    digits."""
+    malformed, oversized or out-of-range j, a malformed, oversized or
+    nonpositive c, a malformed min_f), or None.  Integer fields are read by
+    ratcore.parse_integer."""
     for k, text in enumerate(record[:-1]):
         kind, i = ("j", k + 3) if k < V - 2 else ("c", k - V + 4)
-        digits = text[1:] if text[:1] == "-" else text
-        if not (digits.isascii() and digits.isdigit()):
-            return ParseError(f"{kind}_{i} must be an integer, got {text!r}", line)
-        value = int(text)
+        try:
+            value = parse_integer(text)
+        except ValueError as exc:
+            return ParseError(f"{kind}_{i} {exc}", line)
         if kind == "j" and not 1 <= value <= i - 1:
             return RangeError(f"j_{i} = {value} out of range 1..{i - 1}", line)
         if kind == "c" and value < 1:
@@ -180,9 +187,8 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
                     line,
                 )
             rows.append(row)
-    expected = math.factorial(V - 1)
-    if len(rows) != expected:
-        raise ParseError(f"expected {expected} rows for V={V}, found {len(rows)}")
+    if len(rows) != math.factorial(V - 1):
+        raise ParseError(f"expected {_row_count(V)} rows for V={V}, found {len(rows)}")
     return CertificateTable(V=V, rows=tuple(rows))
 
 

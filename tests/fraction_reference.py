@@ -2,8 +2,8 @@
 
 They share no code with monoproof: a determinant by Gaussian elimination
 with row swaps, positive definiteness by Sylvester's criterion on it, the
-value of a form from its packed axis matrix, and the unique solution of a
-linear system on a subset of its columns.
+value of a form from its packed axis matrix, a minimizer as Fractions, and
+the unique solution of a linear system on a subset of its columns.
 """
 
 from fractions import Fraction
@@ -46,6 +46,12 @@ def form_value(packed: list[list[int]], x) -> Fraction:
     y = [*x, 1]
     total = sum(a * g * b for a, row in zip(y, unpacked(packed)) for g, b in zip(row, y))
     return Fraction(total) / 2
+
+
+def minimizer(result) -> list[Fraction]:
+    """The minimizer x = (t_2, ..., t_(V-1)) at t_1 = 1 of a Certificate or
+    VerifyResult as Fractions, from its numerators over one denominator."""
+    return [Fraction(x, result.minimizer_den) for x in result.minimizer_num]
 
 
 def solve_column_subset(columns, subset, target):

@@ -26,13 +26,13 @@ from monoproof.equilibria import (
     PointConfig,
     count_unstable,
     dawson_tips,
+    equilibrium_rows,
     face_shadow_matrix,
     simplex_area_vectors,
     simplex_face_vectors,
-    unstable_vertices,
     vertex_shadow_matrix,
 )
-from monoproof.expansion import ShadowSystem, reconstruct_vertices
+from monoproof.expansion import ShadowSystem, scaled_vertices
 from monoproof.prover import (
     Certificate,
     SearchConfig,
@@ -86,10 +86,7 @@ def random_tetrahedron(rng):
 
 
 def centroid(verts):
-    total = verts[0]
-    for v in verts[1:]:
-        total = total + v
-    return total.scale(Fraction(1, len(verts)))
+    return RatVector([sum(col) / len(verts) for col in zip(*verts)])
 
 
 # ------------------------------------------------------------------ 1
@@ -181,7 +178,7 @@ def test_criterion_4_count_matches_support_plane_oracle(announce):
         expected = support_plane_unstable(cfg.vertices)
         if count_unstable(cfg) != len(expected):
             discrepancies += 1
-        elif set(unstable_vertices(cfg)) != expected:
+        elif set(equilibrium_rows(vertex_shadow_matrix(cfg))) != expected:
             discrepancies += 1
     announce(4, discrepancies == 0,
              f"1000 random generic configs vs support-plane oracle, "
@@ -207,7 +204,7 @@ def test_criterion_5_exact_property_suites(announce):
                 if i != j and matrix[i][j] == -1:
                     assert norms[i] < norms[j]
         farthest = max(range(V), key=lambda i: norms[i])
-        assert farthest in unstable_vertices(cfg)
+        assert farthest in equilibrium_rows(matrix)
 
     # tetrahedron identities, exact: area vectors sum to zero and
     # |x_i|^2 |q_i|^2 equals (3 Vol / 4)^2 about the centroid
@@ -217,10 +214,7 @@ def test_criterion_5_exact_property_suites(announce):
         xs = simplex_area_vectors(verts)
         face_cfg = simplex_face_vectors(verts, o)
         qs = face_cfg.faces
-        total = xs[0]
-        for x in xs[1:]:
-            total = total + x
-        assert total.is_zero()
+        assert all(sum(col) == 0 for col in zip(*xs))
         target = (3 * vol / 4) ** 2
         for x, q in zip(xs, qs):
             assert x.norm_sq() * q.norm_sq() == target
@@ -265,13 +259,14 @@ def test_criterion_6_v8_chain_system_exhausts_search(announce):
     check = verify_certificate(8, system, result.coeffs)
     assert check.hessian_pd and check.positive
     assert check.min_value == result.min_value
-    assert check.minimizer == result.minimizer
+    assert (check.minimizer_num, check.minimizer_den) == (result.minimizer_num,
+                                                          result.minimizer_den)
 
-    verts = reconstruct_vertices(8, result.minimizer)
-    assert centroid(verts).is_zero()
+    t = scaled_vertices([Fraction(x, result.minimizer_den) for x in result.minimizer_num], 1)
+    assert sum(t) == 0
     geometric = sum(
-        (c * (verts[i - 1].norm_sq() - verts[i - 1].dot(verts[system.j_of(i) - 1]))
-         for c, i in zip(result.coeffs, range(2, 9))),
+        (c * (t[i - 1] ** 2 - t[i - 1] * t[j - 1])
+         for c, i, j in zip(result.coeffs, range(2, 9), system.j)),
         Fraction(0),
     )
     assert geometric == result.min_value

@@ -15,6 +15,9 @@ from monoproof.cli import build_parser, main
 from monoproof.tables import bundled_table_path
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -88,6 +91,27 @@ def test_verify_malformed_table(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--table", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+# past Python's int-to-str limit (4,300 digits by default) int() raises,
+# and so does formatting (V-1)! for a V = 2,000 header
+@pytest.mark.parametrize("line, message", [
+    ("1," + "1" * 5000 + ",44,84,26,137704/9511", "line 2: j_4 has 5000 digits"),
+    ("2,3,44," + "8" * 5000 + ",26,137704/9511", "line 2: c_3 has 5000 digits"),
+    (None, "expected 1999! rows for V=2000, found 0"),
+], ids=["j", "c", "header"])
+def test_verify_oversized_table_input_exits_2(tmp_path, capsys, line, message):
+    if line is None:
+        V = 2000
+        header = [f"j_{i}" for i in range(3, V + 1)] + [f"c_{i}" for i in range(2, V + 1)]
+        text = ",".join([*header, "min_f"]) + "\n"
+    else:
+        text = f"j_3,j_4,c_2,c_3,c_4,min_f\n{line}\n"
+    table = tmp_path / "big.csv"
+    table.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--table", str(table))
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_verify_refuses_tampered_bundled_dataset(tmp_path, monkeypatch, capsys):
@@ -219,6 +243,26 @@ def test_prove_past_the_cap_leaves_no_out_file(tmp_path, capsys):
                      "--out", str(out_path))
     assert code == 2
     assert out_path.read_bytes() == b'{"an": "earlier report"}\n'
+
+
+# int() would take a sign, surrounding spaces, underscores and other
+# scripts' digits; every integer flag takes the table parser's spelling
+@pytest.mark.parametrize("argv", [
+    [*flag, spelling]
+    for flag, digit in ((["systems", "--vertices"], 5), (["prove", "--vertices", "4", "--seed"], 3))
+    for spelling in (f"+{digit}", f" {digit}", f"{digit}_0", chr(0x0660 + digit))
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+def test_prove_takes_a_negative_seed(capsys):
+    code, out, _ = run(capsys, "prove", "--vertices", "4", "--seed", "-1")
+    assert code == 0
+    assert json.loads(out)["base_seed"] == -1
 
 
 def test_prove_rejects_bad_coeff_range(capsys):
@@ -520,8 +564,7 @@ def test_check_hull_rejects_deeply_nested_json(tmp_path, capsys):
 def test_readme_command_lines_parse():
     """Every README line that starts with ``monoproof `` parses with the
     current command line (nothing is run)."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line for line in readme.read_text("utf-8").splitlines()
+    lines = [line for line in README.read_text("utf-8").splitlines()
              if line.startswith("monoproof ")]
     assert len(lines) >= 6
     parser = build_parser()
@@ -530,6 +573,23 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_library_block_runs():
+    """The README's Library example runs, and each line marked ``# ->``
+    evaluates to the repr after the arrow."""
+    section = README.read_text("utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, checked = [], 0
+    for line in block.splitlines():
+        code, arrow, expected = line.partition("# ->")
+        if arrow:
+            code = code.strip()
+            line = f"assert repr({code}) == {expected.strip()!r}, {code!r}"
+            checked += 1
+        lines.append(line)
+    exec("\n".join(lines), {})
+    assert checked == 2
 
 
 def test_version_flag(capsys):

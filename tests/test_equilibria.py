@@ -14,14 +14,12 @@ from monoproof.equilibria import (
     count_stable,
     count_unstable,
     dawson_tips,
+    equilibrium_rows,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
-    shadow_sign,
     simplex_area_vectors,
     simplex_face_vectors,
-    stable_faces,
-    unstable_vertices,
     vertex_shadow_matrix,
 )
 from monoproof.ratcore import RatVector
@@ -76,15 +74,15 @@ def centroid(verts):
 
 
 def test_shadow_sign_cases():
-    assert shadow_sign(RatVector([1, 0, 0]), RatVector([3, 0, 0])) == -1
-    assert shadow_sign(RatVector([3, 0, 0]), RatVector([1, 0, 0])) == 1
-    assert shadow_sign(RatVector([1, 0, 0]), RatVector([1, 1, 0])) == 0
+    assert vertex_shadow_matrix(PointConfig([[1, 0, 0], [3, 0, 0]]))[0][1] == -1
+    assert vertex_shadow_matrix(PointConfig([[3, 0, 0], [1, 0, 0]]))[0][1] == 1
+    assert vertex_shadow_matrix(PointConfig([[1, 0, 0], [1, 1, 0]]))[0][1] == 0
 
 
 def test_regular_tetrahedron_all_unstable():
     cfg = PointConfig(TETRA)
     assert count_unstable(cfg) == 4
-    assert unstable_vertices(cfg) == [0, 1, 2, 3]
+    assert equilibrium_rows(vertex_shadow_matrix(cfg)) == [0, 1, 2, 3]
     assert not cfg.is_generic  # symmetric: all norms equal
 
 
@@ -98,7 +96,7 @@ def test_shadowed_vertex_is_not_counted():
     cfg = PointConfig([(10, 0, 0), (9, 1, 0), (-5, 3, 1), (-4, -8, 2)])
     matrix = vertex_shadow_matrix(cfg)
     assert matrix[1][0] == -1
-    assert 1 not in unstable_vertices(cfg)
+    assert 1 not in equilibrium_rows(matrix)
 
 
 def test_degenerate_contact_row_not_counted():
@@ -106,7 +104,7 @@ def test_degenerate_contact_row_not_counted():
     cfg = PointConfig([(1, 0, 0), (1, 1, 0), (-2, -1, 0), (0, 0, 5)])
     matrix = vertex_shadow_matrix(cfg)
     assert matrix[0][1] == 0
-    assert 0 not in unstable_vertices(cfg)
+    assert 0 not in equilibrium_rows(matrix)
 
 
 def test_counts_match_support_plane_oracle():
@@ -133,7 +131,7 @@ def test_farthest_vertex_always_equilibrium():
         cfg = random_config(rng, rng.randint(4, 7))
         norms = [v.norm_sq() for v in cfg.vertices]
         farthest = norms.index(max(norms))
-        assert farthest in unstable_vertices(cfg)
+        assert farthest in equilibrium_rows(vertex_shadow_matrix(cfg))
         assert count_unstable(cfg) >= 1
 
 
@@ -166,7 +164,7 @@ def test_face_counts_symmetric_tetrahedron():
     qcfg = simplex_face_vectors([RatVector(list(map(Fraction, v))) for v in TETRA],
                                 RatVector([0, 0, 0]))
     assert count_stable(qcfg) == 4
-    assert stable_faces(qcfg) == [0, 1, 2, 3]
+    assert equilibrium_rows(face_shadow_matrix(qcfg)) == [0, 1, 2, 3]
 
 
 def test_face_shadow_implies_larger_norm():
@@ -228,8 +226,10 @@ def test_shadow_matrices_match_the_definition():
         full = [[i for i, row in enumerate(ref) if all(v == 1 for j, v in enumerate(row)
                                                        if j != i)]
                 for ref in (vertex_ref, face_ref)]
-        assert unstable_vertices(vcfg) == full[0] and count_unstable(vcfg) == len(full[0])
-        assert stable_faces(fcfg) == full[1] and count_stable(fcfg) == len(full[1])
+        assert equilibrium_rows(vertex_shadow_matrix(vcfg)) == full[0]
+        assert count_unstable(vcfg) == len(full[0])
+        assert equilibrium_rows(face_shadow_matrix(fcfg)) == full[1]
+        assert count_stable(fcfg) == len(full[1])
         norms = [sum(a * a for a in p) for p in pts]
         assert vcfg.is_generic == (len(set(norms)) == n)
         zeros += sum(row.count(0) - 1 for row in vertex_ref)
@@ -259,7 +259,7 @@ def test_area_vectors_close_up_and_volume_identity():
     for _ in range(50):
         verts, vol = random_tetrahedron(rng)
         xs = simplex_area_vectors(verts)
-        assert (xs[0] + xs[1] + xs[2] + xs[3]).is_zero()
+        assert all(sum(col) == 0 for col in zip(*xs))
         qcfg = simplex_face_vectors(verts, centroid(verts))
         for i in range(4):
             assert xs[i].norm_sq() * qcfg.faces[i].norm_sq() == (3 * vol / 4) ** 2
@@ -401,7 +401,7 @@ def test_load_config_round_trip(tmp_path):
 def test_load_config_faces_kind():
     cfg = load_config({"d": 3, "kind": "faces", "coords": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
     assert isinstance(cfg, FaceConfig)
-    assert cfg.F == 3
+    assert len(cfg.faces) == 3
 
 
 @pytest.mark.parametrize(

@@ -12,15 +12,13 @@ from monoproof.expansion import (
     _axis_matrix,
     enumerate_systems,
     inequality_forms,
-    reconstruct_vertices,
     scaled_vertices,
     weighted_inequality_sum,
 )
-from monoproof.ratcore import RatVector
 
 
-def rand_point(rng: random.Random, n: int) -> RatVector:
-    return RatVector([Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)])
+def rand_point(rng: random.Random, n: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
 
 
 def test_system_validation():
@@ -33,9 +31,7 @@ def test_system_validation():
     with pytest.raises(ValueError):
         ShadowSystem(4, (1, 1))  # wrong length
     s = ShadowSystem(4, (1, 2, 3))
-    assert s.j_of(2) == 1 and s.j_of(4) == 3
-    with pytest.raises(ValueError):
-        s.j_of(1)
+    assert s.j[0] == 1 and s.j[-1] == 3
 
 
 def test_from_choices():
@@ -81,18 +77,11 @@ def test_reconstruction_frame_and_balance():
     rng = random.Random(17)
     for V in (4, 5, 6, 7):
         x = rand_point(rng, V - 2)
-        rs = reconstruct_vertices(V, x)
-        assert len(rs) == V
-        assert all(len(r) == 1 for r in rs)
-        assert rs[0] == RatVector([1])
-        assert [r[0] for r in rs[1:-1]] == list(x)
-        total = rs[0]
-        for r in rs[1:]:
-            total = total + r
-        assert total.is_zero()
-        for wrong in (V - 3, V - 1, 3 * V - 7):
-            with pytest.raises(ValueError):
-                reconstruct_vertices(V, rand_point(rng, wrong))
+        t = scaled_vertices(x, 1)
+        assert len(t) == V
+        assert t[0] == 1
+        assert t[1:-1] == x
+        assert sum(t) == 0
 
 
 def test_forms_match_reconstructed_geometry():
@@ -106,11 +95,10 @@ def test_forms_match_reconstructed_geometry():
             choices = tuple(rng.randint(1, i - 1) for i in range(3, V + 1))
             system = ShadowSystem.from_choices(V, choices)
             x = rand_point(rng, V - 2)
-            rs = reconstruct_vertices(V, x)
-            for i, form in zip(range(2, V + 1), inequality_forms(system)):
-                ri = rs[i - 1]
-                rj = rs[system.j_of(i) - 1]
-                assert form_value(form, x) == ri.norm_sq() - ri.dot(rj)
+            t = scaled_vertices(x, 1)
+            for i, j, form in zip(range(2, V + 1), system.j, inequality_forms(system)):
+                ti, tj = t[i - 1], t[j - 1]
+                assert form_value(form, x) == ti * ti - ti * tj
 
 
 def test_constant_terms():
@@ -157,8 +145,7 @@ def definition_matrix(system: ShadowSystem, weights) -> list[list[int]]:
     (i, j(i)) and at (j(i), i)."""
     V = system.V
     M = [[0] * V for _ in range(V)]
-    for i, c in zip(range(2, V + 1), weights):
-        j = system.j_of(i)
+    for i, c, j in zip(range(2, V + 1), weights, system.j):
         M[i - 1][i - 1] += 2 * c
         M[i - 1][j - 1] -= c
         M[j - 1][i - 1] -= c
@@ -230,7 +217,7 @@ def test_forms_against_symbolic_oracle():
     t.append(-sum(t))
 
     def q(i):
-        return t[i - 1] ** 2 - t[i - 1] * t[system.j_of(i) - 1]
+        return t[i - 1] ** 2 - t[i - 1] * t[system.j[i - 2] - 1]
 
     f_sym = sum(c * q(i) for c, i in zip(coeffs, range(2, V + 1)))
     g = weighted_inequality_sum(system, coeffs)

@@ -8,14 +8,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from fraction_reference import form_value, reference_is_pd, unpacked
+from fraction_reference import form_value, minimizer, reference_is_pd, unpacked
 
 from monoproof import expansion, prover
 from monoproof.expansion import (
     ShadowSystem,
     enumerate_systems,
     inequality_forms,
-    reconstruct_vertices,
+    scaled_vertices,
     weighted_inequality_sum,
 )
 from monoproof.prover import (
@@ -27,7 +27,6 @@ from monoproof.prover import (
     verify_certificate,
 )
 from monoproof.ratcore import (
-    RatVector,
     homogeneous_solution,
     solve_linear,
     symmetric_bareiss,
@@ -60,16 +59,14 @@ def test_minimizer_has_zero_gradient():
         system = ShadowSystem.from_choices(V, choices)
         g = weighted_inequality_sum(system, coeffs)
         check = verify_certificate(V, system, coeffs)
-        x, value = check.minimizer, check.min_value
+        x, value = minimizer(check), check.min_value
         assert len(x) == V - 2 and value == expected
         hessian, b = hessian_and_linear_part(g)
         assert all(sum(h * xi for h, xi in zip(row, x)) + bi == 0 for row, bi in zip(hessian, b))
         assert form_value(g, x) == value
         # every other point sits strictly above the minimum
         for _ in range(5):
-            y = RatVector(
-                [xi + Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for xi in x]
-            )
+            y = [xi + Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for xi in x]
             if y != x:
                 assert form_value(g, y) > value
 
@@ -113,7 +110,7 @@ def test_certificate_homogeneity():
     base = verify_certificate(V, system, coeffs)
     scaled = verify_certificate(V, system, tuple(3 * c for c in coeffs))
     assert scaled.min_value == 3 * expected
-    assert scaled.minimizer == base.minimizer
+    assert (scaled.minimizer_num, scaled.minimizer_den) == (base.minimizer_num, base.minimizer_den)
 
 
 def test_certificate_refutes_all_points():
@@ -125,9 +122,7 @@ def test_certificate_refutes_all_points():
     forms = inequality_forms(system)
     g = weighted_inequality_sum(system, coeffs)
     for _ in range(25):
-        x = RatVector(
-            [Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(V - 2)]
-        )
+        x = [Fraction(rng.randint(-40, 40), rng.randint(1, 15)) for _ in range(V - 2)]
         assert form_value(g, x) >= expected
         assert max(form_value(q, x) for q in forms) > 0
 
@@ -154,12 +149,12 @@ def test_certificate_refutes_its_system_in_every_dimension():
             check = verify_certificate(V, system, coeffs)
             assert check.hessian_pd and check.positive
             m = check.min_value
-            t = [r[0] for r in reconstruct_vertices(V, check.minimizer)]
+            t = scaled_vertices(minimizer(check), 1)
 
             def F(rs):
                 return sum(c * sum(a * a - a * b
-                                   for a, b in zip(rs[i - 1], rs[system.j_of(i) - 1]))
-                           for i, c in zip(range(2, V + 1), coeffs))
+                                   for a, b in zip(rs[i - 1], rs[j - 1]))
+                           for i, c, j in zip(range(2, V + 1), coeffs, system.j))
 
             for d in range(1, 5):
                 assert F([[ti] + [0] * (d - 1) for ti in t]) == m
@@ -189,7 +184,8 @@ def test_search_finds_certificates_on_all_v4_systems():
         check = verify_certificate(4, system, result.coeffs)
         assert check.hessian_pd and check.positive
         assert check.min_value == result.min_value
-        assert check.minimizer == result.minimizer
+        assert (check.minimizer_num, check.minimizer_den) == (result.minimizer_num,
+                                                              result.minimizer_den)
 
 
 def test_search_is_deterministic():
@@ -247,7 +243,7 @@ def test_v8_chain_certificate_against_symbolic_oracle():
 
     def q(i):
         return sum(syms[(i, k)] ** 2 for k in (1, 2, 3)) - sum(
-            syms[(i, k)] * syms[(system.j_of(i), k)] for k in (1, 2, 3)
+            syms[(i, k)] * syms[(system.j[i - 2], k)] for k in (1, 2, 3)
         )
 
     f_sym = sympy.expand(sum(c * q(i) for c, i in zip(coeffs, range(2, V + 1))))
@@ -257,10 +253,10 @@ def test_v8_chain_certificate_against_symbolic_oracle():
 
     # the minimizer x = (t_2, ..., t_7) on axis 1; axes 2 and 3 are zero
     check = verify_certificate(V, system, coeffs)
-    assert len(check.minimizer) == V - 2
+    assert len(check.minimizer_num) == V - 2
     subs = {var: sympy.Integer(0) for var in order}
-    for i, val in zip(range(2, V), check.minimizer):
-        subs[syms[(i, 1)]] = sympy.Rational(val.numerator, val.denominator)
+    for i, num in zip(range(2, V), check.minimizer_num):
+        subs[syms[(i, 1)]] = sympy.Rational(num, check.minimizer_den)
     assert all(sympy.diff(f_sym, var).subs(subs) == 0 for var in order)
     value = f_sym.subs(subs)
     assert value == sympy.Rational(expected.numerator, expected.denominator)
@@ -304,12 +300,12 @@ def test_integer_core_agrees_with_form_path():
         hessian, b = hessian_and_linear_part(g)
         assert got.hessian_pd == reference_is_pd(hessian)
         if not got.hessian_pd:
-            assert got.min_value is None and got.minimizer is None and not got.positive
+            assert got.min_value is None and got.minimizer_num is None and not got.positive
             outcomes["non_pd"] += 1
             continue
         x = solve_linear(hessian, [-v for v in b])
         value = form_value(g, x)
-        assert got.minimizer == x
+        assert minimizer(got) == list(x)
         assert got.min_value == value
         assert got.positive == (value > 0)
         outcomes["positive" if value > 0 else "negative"] += 1
@@ -321,7 +317,7 @@ def test_pd_flag_against_second_difference_hessian():
     the elimination: the (V-2) x (V-2) Hessian of
     F(x) = sum_i c_i (|r_i|^2 - r_i.r_j(i)) over x = (t_2, ..., t_(V-1)) from
     second differences F(e_p + e_q) - F(e_p) - F(e_q) + F(0) on
-    reconstruct_vertices(V, x), exact because F is quadratic, and its PD
+    scaled_vertices(x, 1), exact because F is quadratic, and its PD
     flag from Fraction leading minors (Sylvester).  Cases: every 10th bundled row per V, and
     seeded random weights at V = 5..8 that include non-PD and negative
     draws."""
@@ -341,9 +337,9 @@ def test_pd_flag_against_second_difference_hessian():
         V, n = system.V, system.V - 2
 
         def F(x):  # x is integral, so are the vertices
-            rs = [[int(e) for e in r] for r in reconstruct_vertices(V, RatVector(x))]
-            return sum(c * sum(a * a - a * b for a, b in zip(rs[i - 1], rs[system.j_of(i) - 1]))
-                       for i, c in zip(range(2, V + 1), coeffs))
+            t = scaled_vertices(x, 1)
+            return sum(c * (t[i - 1] ** 2 - t[i - 1] * t[j - 1])
+                       for i, c, j in zip(range(2, V + 1), coeffs, system.j))
 
         unit = [[int(p == q) for q in range(n)] for p in range(n)]
         f0, f1 = F([0] * n), [F(u) for u in unit]
@@ -390,10 +386,10 @@ def test_audit_catches_a_consistent_point_that_is_not_stationary():
     true minimizer is elsewhere, and the audit must raise."""
     for V in (4, 5, 6, 7):
         for row in parse_certificate_table(bundled_table_path(V)).rows[::29]:
-            assert any(verify_certificate(V, row.system, row.coeffs).minimizer)
+            assert any(verify_certificate(V, row.system, row.coeffs).minimizer_num)
             t = [1] + [0] * (V - 2) + [-1]
-            g = sum(c * (t[i - 1] ** 2 - t[i - 1] * t[row.system.j_of(i) - 1])
-                    for i, c in zip(range(2, V + 1), row.coeffs))
+            g = sum(c * (t[i - 1] ** 2 - t[i - 1] * t[j - 1])
+                    for i, c, j in zip(range(2, V + 1), row.coeffs, row.system.j))
             with pytest.raises(RuntimeError, match="failed the geometric audit"):
                 prover._audit(row.system, row.coeffs, [0] * (V - 2), 1, 2 * g)
 

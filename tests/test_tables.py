@@ -193,6 +193,27 @@ def test_integer_fields_take_ascii_digits_only(tmp_path, field, bad):
     assert info.value.line == 4
 
 
+# int() raises past Python's int-to-str limit (4,300 digits by default)
+@pytest.mark.parametrize("field", ["j_4", "c_3"])
+def test_integer_field_past_the_digit_limit_fails_on_its_line(tmp_path, field):
+    path = write_table(tmp_path, with_fields(bundled_lines(), 4, **{field: "1" * 5000}))
+    with pytest.raises(ParseError, match=f"{field} has 5000 digits") as info:
+        parse_certificate_table(path)
+    assert info.value.line == 4
+
+
+def test_row_count_too_long_to_print(tmp_path):
+    """1999!, the row count for V = 2,000, has 5,700 digits, more than
+    Python's int-to-str limit prints; the error writes it as 1999!."""
+    V = 2000
+    header = [f"j_{i}" for i in range(3, V + 1)] + [f"c_{i}" for i in range(2, V + 1)]
+    path = write_table(tmp_path, [",".join([*header, "min_f"])])
+    with pytest.raises(ParseError, match=re.escape("expected 1999! rows for V=2000, found 0")):
+        parse_certificate_table(path)
+    with pytest.raises(ValueError, match=re.escape("must have 1999! rows, got 0")):
+        CertificateTable(V=V, rows=())
+
+
 def test_non_positive_coefficient(tmp_path):
     lines = bundled_lines()
     parts = lines[1].split(",")
