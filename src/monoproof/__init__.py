@@ -8,7 +8,7 @@ inequality sum is strictly convex with a strictly positive exact-rational
 minimum.
 """
 
-from monoproof.ratcore import RatVector, parse_rational
+from monoproof.ratcore import parse_rational
 from monoproof.equilibria import (
     DegenerateSimplex,
     FaceConfig,

@@ -5,8 +5,9 @@ unstable equilibrium iff no other vertex "shadows" it, i.e. iff
 (r_i - r_j).r_i > 0 for every j.  Faces behave dually through their face
 vectors q_i (foot of the perpendicular from the center of mass).
 
-A configuration's dimension is the common length of its vectors.  All
-signs come from one integer kernel on rows cleared once per configuration
+A configuration's vectors are plain tuples of Fractions, coerced once from
+int, Fraction or "p/q" entries, and its dimension is their common length.
+All signs come from one integer kernel on rows cleared once per configuration
 with ratcore.clear_denominators, R_i = L * r_i with L the lcm of every
 coordinate denominator (a PointConfig keeps its cleared rows), and it
 returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every
@@ -19,6 +20,11 @@ norms, so no roots ever appear.
 A shadow matrix is the tuple of its sign rows, and equilibrium_rows is the
 one statement of the equilibrium rule on it: the counts and the `count`
 command read it alike.
+
+The tetrahedron helpers (face and area vectors, Dawson and Finbow's
+tipping test) need only differences and dot products of Fraction triples
+and the four face normals, which _tetrahedron computes once, oriented
+outward.  Dimensions are checked explicitly, since zip would truncate.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from monoproof.ratcore import RatVector, RationalLike, clear_denominators, nonneg_solution_exists
+from monoproof.ratcore import RationalLike, as_rational, clear_denominators, nonneg_solution_exists
 
 
 class DegenerateSimplex(ValueError):
@@ -42,9 +48,9 @@ class OutsideError(ValueError):
     """Reference point is not strictly interior to the simplex."""
 
 
-def _vectors(items: Iterable[Sequence[RationalLike] | RatVector], noun: str) -> tuple:
-    """At least two RatVectors of one positive dimension, or ValueError."""
-    vecs = tuple(v if isinstance(v, RatVector) else RatVector(v) for v in items)
+def _vectors(items: Iterable[Sequence[RationalLike]], noun: str) -> tuple:
+    """At least two Fraction tuples of one positive dimension, or ValueError."""
+    vecs = tuple(tuple(map(as_rational, v)) for v in items)
     if len(vecs) < 2:
         raise ValueError(f"need at least 2 {noun}")
     if len({len(v) for v in vecs}) > 1 or not vecs[0]:
@@ -56,9 +62,9 @@ def _vectors(items: Iterable[Sequence[RationalLike] | RatVector], noun: str) -> 
 class PointConfig:
     """Vertex vectors r_i of a polytope, relative to the center of mass."""
 
-    vertices: tuple[RatVector, ...]
+    vertices: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, vertices: Iterable[Sequence[RationalLike] | RatVector]):
+    def __init__(self, vertices: Iterable[Sequence[RationalLike]]):
         object.__setattr__(self, "vertices", _vectors(vertices, "vertices"))
 
     @property
@@ -85,11 +91,11 @@ class FaceConfig:
     """Face vectors q_i: from the center of mass to its orthogonal projection
     onto each face plane.  All q_i must be nonzero."""
 
-    faces: tuple[RatVector, ...]
+    faces: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, faces: Iterable[Sequence[RationalLike] | RatVector]):
+    def __init__(self, faces: Iterable[Sequence[RationalLike]]):
         vecs = _vectors(faces, "faces")
-        if any(q.is_zero() for q in vecs):
+        if any(not any(q) for q in vecs):
             raise ValueError("face vectors must be nonzero")
         object.__setattr__(self, "faces", vecs)
 
@@ -142,55 +148,69 @@ def count_stable(cfg: FaceConfig) -> int:
     return len(equilibrium_rows(face_shadow_matrix(cfg)))
 
 
-def _tetrahedron(vertices: Sequence[RatVector]) -> list[RatVector]:
-    """The four vertices as RatVectors, checked for a nonzero volume."""
-    vertices = [v if isinstance(v, RatVector) else RatVector(v) for v in vertices]
-    if len(vertices) != 4:
-        raise ValueError("expected exactly 4 vertices")
-    v0, v1, v2, v3 = vertices
-    if (v1 - v0).dot((v2 - v0).cross(v3 - v0)) == 0:
-        raise DegenerateSimplex("vertices are affinely dependent")
-    return vertices
+def _sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple(map(operator.sub, u, v))
 
 
-def simplex_face_vectors(vertices: Sequence[RatVector], o: RatVector) -> FaceConfig:
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum(map(operator.mul, u, v))
+
+
+def _tetrahedron(vertices: Sequence[Sequence[RationalLike]]) -> tuple[list, list]:
+    """The four vertices as Fraction triples, and for each vertex i the
+    outward normal of the opposite face (a, b, c): (b - a) x (c - a), its
+    sign chosen to point away from vertex i.  ValueError unless given four
+    points of dimension 3; DegenerateSimplex at zero volume."""
+    vertices = [tuple(map(as_rational, v)) for v in vertices]
+    if len(vertices) != 4 or any(len(v) != 3 for v in vertices):
+        raise ValueError("a tetrahedron needs 4 vertices of dimension 3")
+    normals = []
+    for i, v in enumerate(vertices):
+        a, b, c = vertices[:i] + vertices[i + 1:]
+        (u1, u2, u3), (w1, w2, w3) = _sub(b, a), _sub(c, a)
+        normal = (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
+        side = _dot(normal, _sub(v, a))  # six times the signed volume
+        if side == 0:
+            raise DegenerateSimplex("vertices are affinely dependent")
+        normals.append(normal if side < 0 else tuple(-x for x in normal))
+    return vertices, normals
+
+
+def simplex_face_vectors(vertices: Sequence[Sequence[RationalLike]],
+                         o: Sequence[RationalLike]) -> FaceConfig:
     """Face vectors of a tetrahedron relative to reference point o.
 
     Face i is the face opposite vertex i; q_i points from o to the foot of
     the perpendicular dropped onto that face's plane.  The projection only
     divides by |normal|^2, so everything stays rational.
     """
-    vertices = _tetrahedron(vertices)
+    vertices, normals = _tetrahedron(vertices)
+    o = tuple(map(as_rational, o))
+    if len(o) != 3:
+        raise ValueError("the reference point needs dimension 3")
     qs = []
-    for i in range(4):
-        a, b, c = (vertices[j] for j in range(4) if j != i)
-        normal = (b - a).cross(c - a)
-        side_o = normal.dot(o - a)
-        side_v = normal.dot(vertices[i] - a)
-        if side_o * side_v <= 0:  # o on the face plane or across it from vertex i
+    for i, normal in enumerate(normals):
+        depth = _dot(normal, _sub(vertices[(i + 1) % 4], o))  # vertex i + 1 lies on face i
+        if depth <= 0:  # o on the face plane or across it from vertex i
             raise OutsideError("reference point is not strictly inside the simplex")
-        qs.append(normal.scale(normal.dot(a - o) / normal.norm_sq()))
+        scale = depth / _dot(normal, normal)
+        qs.append(tuple(scale * x for x in normal))
     return FaceConfig(qs)
 
 
-def simplex_area_vectors(vertices: Sequence[RatVector]) -> list[RatVector]:
+def simplex_area_vectors(vertices: Sequence[Sequence[RationalLike]]) -> list[tuple[Fraction, ...]]:
     """Outward area vectors of a tetrahedron: x_i is normal to the face
     opposite vertex i, |x_i| equals that face's area, and sum(x_i) = 0."""
-    vertices = _tetrahedron(vertices)
-    xs = []
-    for i in range(4):
-        a, b, c = (vertices[j] for j in range(4) if j != i)
-        normal = (b - a).cross(c - a)
-        if normal.dot(vertices[i] - a) > 0:
-            normal = -normal
-        xs.append(normal.scale(Fraction(1, 2)))
-    return xs
+    return [tuple(x / 2 for x in normal) for normal in _tetrahedron(vertices)[1]]
 
 
-def dawson_tips(x_i: RatVector, x_j: RatVector) -> bool:
+def dawson_tips(x_i: Sequence[RationalLike], x_j: Sequence[RationalLike]) -> bool:
     """Tipping condition |x_i| < |x_j| cos(theta_ij) on area vectors,
     evaluated as the exact rational x_i.x_j - x_i.x_i > 0."""
-    return x_i.dot(x_j) - x_i.dot(x_i) > 0
+    x_i, x_j = tuple(map(as_rational, x_i)), tuple(map(as_rational, x_j))
+    if len(x_i) != len(x_j):
+        raise ValueError(f"area vectors differ in dimension: {len(x_i)} vs {len(x_j)}")
+    return _dot(x_i, x_j) - _dot(x_i, x_i) > 0
 
 
 def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
@@ -231,7 +251,6 @@ def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig
         raise ValueError("field 'kind' must be 'vertices' or 'faces'")
     if not isinstance(coords, list) or not coords:
         raise ValueError("field 'coords' must be a non-empty list of coordinate rows")
-    rows = []
     for row in coords:
         if not isinstance(row, list) or len(row) != d:
             raise ValueError(f"each coordinate row must have exactly {d} entries")
@@ -240,7 +259,6 @@ def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig
                 raise ValueError(f"inexact coordinate {entry!r}; use integers or 'p/q' strings")
             if not isinstance(entry, (int, str)):
                 raise ValueError(f"coordinate {entry!r} is not an integer or a 'p/q' string")
-        rows.append(RatVector(row))
     if kind == "vertices":
-        return PointConfig(rows)
-    return FaceConfig(rows)
+        return PointConfig(coords)
+    return FaceConfig(coords)

@@ -1,9 +1,10 @@
-"""Exact rational vectors, linear solving, PD testing and nonnegative-
-solution feasibility.
+"""Exact rationals, linear solving, PD testing and nonnegative-solution
+feasibility.
 
 Public values are ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms, positive denominator).  Nothing here ever rounds.  Matrices
-are plain sequences of rows of int or Fraction entries.  Rationals become
+lowest terms, positive denominator).  Nothing here ever rounds.  Vectors
+are plain tuples and matrices plain sequences of rows, of int or Fraction
+entries; as_rational coerces an int, Fraction or "p/q".  Rationals become
 integers at one boundary, clear_denominators, which scales a whole matrix
 by the lcm of its denominators; every consumer (solve_linear,
 is_positive_definite, and the equilibria kernel and hull test) then works
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Rational = Union[Fraction, int]
@@ -77,58 +77,6 @@ class SingularError(ValueError):
         self.pivot_index = pivot_index
 
 
-@dataclass(frozen=True)
-class RatVector:
-    """Immutable fixed-length vector of rationals."""
-
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, entries: Iterable[RationalLike]):
-        object.__setattr__(self, "entries", tuple(as_rational(e) for e in entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def __sub__(self, other: "RatVector") -> "RatVector":
-        self._check_len(other)
-        return RatVector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "RatVector":
-        return RatVector(-a for a in self.entries)
-
-    def scale(self, factor: RationalLike) -> "RatVector":
-        f = as_rational(factor)
-        return RatVector(f * a for a in self.entries)
-
-    def dot(self, other: "RatVector") -> Fraction:
-        self._check_len(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
-
-    def cross(self, other: "RatVector") -> "RatVector":
-        if len(self) != 3 or len(other) != 3:
-            raise ValueError("cross product requires 3-dimensional vectors")
-        a, b = self.entries, other.entries
-        return RatVector(
-            (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-        )
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def _check_len(self, other: "RatVector") -> None:
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-
-
 def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """(R, L) for rows of int or Fraction entries: L is the lcm of every
     entry's denominator and R = L * rows, an integer matrix.  Scaling the
@@ -165,7 +113,7 @@ def _check_square(A: Sequence[Sequence[Rational]]) -> int:
     return n
 
 
-def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> RatVector:
+def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> tuple[Fraction, ...]:
     """Solve A x = b exactly for the square rows A of int or Fraction
     entries; raises SingularError on exact rank deficiency.
 
@@ -184,7 +132,7 @@ def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> RatV
             raise SingularError(k)
         prev = _jordan_pivot(rows, r, k, prev)
         pivot_rows.append(r)
-    return RatVector(Fraction(rows[r][n], rows[r][k]) for k, r in enumerate(pivot_rows))
+    return tuple(Fraction(rows[r][n], rows[r][k]) for k, r in enumerate(pivot_rows))
 
 
 def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:

@@ -2,11 +2,34 @@
 
 They share no code with monoproof: a determinant by Gaussian elimination
 with row swaps, positive definiteness by Sylvester's criterion on it, the
-value of a form from its packed axis matrix, a minimizer as Fractions, and
-the unique solution of a linear system on a subset of its columns.
+value of a form from its packed axis matrix, a minimizer as Fractions, the
+unique solution of a linear system on a subset of its columns, and the
+vector operations sub, dot, cross and norm_sq on sequences of Fractions.
 """
 
 from fractions import Fraction
+
+
+def sub(u, v) -> list:
+    """u - v, entry by entry; the lengths must agree."""
+    assert len(u) == len(v)
+    return [a - b for a, b in zip(u, v)]
+
+
+def dot(u, v) -> Fraction:
+    """The dot product; the lengths must agree."""
+    assert len(u) == len(v)
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+def norm_sq(u) -> Fraction:
+    return dot(u, u)
+
+
+def cross(u, v) -> list:
+    """The cross product of two 3-vectors."""
+    (a1, a2, a3), (b1, b2, b3) = u, v
+    return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
 
 
 def reference_det(rows) -> Fraction:

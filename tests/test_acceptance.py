@@ -20,6 +20,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from fraction_reference import cross, dot, norm_sq, sub
 
 from monoproof.cli import main
 from monoproof.equilibria import (
@@ -40,7 +41,7 @@ from monoproof.prover import (
     search_certificate,
     verify_certificate,
 )
-from monoproof.ratcore import RatVector, parse_rational
+from monoproof.ratcore import parse_rational
 from monoproof.tables import bundled_table_path, parse_certificate_table
 
 
@@ -59,7 +60,7 @@ def random_rational(rng, span=12, max_den=100):
 
 def random_generic_config(rng, V):
     while True:
-        points = [RatVector([random_rational(rng) for _ in range(3)]) for _ in range(V)]
+        points = [[random_rational(rng) for _ in range(3)] for _ in range(V)]
         cfg = PointConfig(points)
         if cfg.is_generic:
             return cfg
@@ -70,23 +71,23 @@ def support_plane_unstable(points):
     other vertex lies strictly below i's support plane."""
     out = set()
     for i, r in enumerate(points):
-        if all(q.dot(r) < r.dot(r) for j, q in enumerate(points) if j != i):
+        if all(dot(q, r) < dot(r, r) for j, q in enumerate(points) if j != i):
             out.add(i)
     return out
 
 
 def random_tetrahedron(rng):
     while True:
-        verts = [RatVector([random_rational(rng, span=8, max_den=20)
-                            for _ in range(3)]) for _ in range(4)]
+        verts = [[random_rational(rng, span=8, max_den=20)
+                  for _ in range(3)] for _ in range(4)]
         a, b, c, d = verts
-        vol6 = (b - a).cross(c - a).dot(d - a)
+        vol6 = dot(cross(sub(b, a), sub(c, a)), sub(d, a))
         if vol6 != 0:
             return verts, abs(vol6) / 6
 
 
 def centroid(verts):
-    return RatVector([sum(col) / len(verts) for col in zip(*verts)])
+    return [sum(col) / len(verts) for col in zip(*verts)]
 
 
 # ------------------------------------------------------------------ 1
@@ -198,7 +199,7 @@ def test_criterion_5_exact_property_suites(announce):
         V = rng.choice((4, 5, 6, 7))
         cfg = random_generic_config(rng, V)
         matrix = vertex_shadow_matrix(cfg)
-        norms = [p.norm_sq() for p in cfg.vertices]
+        norms = [norm_sq(p) for p in cfg.vertices]
         for i in range(V):
             for j in range(V):
                 if i != j and matrix[i][j] == -1:
@@ -217,7 +218,7 @@ def test_criterion_5_exact_property_suites(announce):
         assert all(sum(col) == 0 for col in zip(*xs))
         target = (3 * vol / 4) ** 2
         for x, q in zip(xs, qs):
-            assert x.norm_sq() * q.norm_sq() == target
+            assert norm_sq(x) * norm_sq(q) == target
 
         # Dawson tipping from area vectors == face shadowing on q-vectors
         shadow = face_shadow_matrix(face_cfg)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_reference import solve_column_subset
+from fraction_reference import cross, dot, norm_sq, solve_column_subset, sub
 
 from monoproof.equilibria import (
     DegenerateSimplex,
@@ -22,7 +22,6 @@ from monoproof.equilibria import (
     simplex_face_vectors,
     vertex_shadow_matrix,
 )
-from monoproof.ratcore import RatVector
 
 TETRA = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 CUBE = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
@@ -34,8 +33,8 @@ def brute_force_unstable(cfg: PointConfig) -> int:
     side of the plane through r_i with normal r_i."""
     count = 0
     for i, ri in enumerate(cfg.vertices):
-        bound = ri.norm_sq()
-        if all(rj.dot(ri) < bound for j, rj in enumerate(cfg.vertices) if j != i):
+        bound = norm_sq(ri)
+        if all(dot(rj, ri) < bound for j, rj in enumerate(cfg.vertices) if j != i):
             count += 1
     return count
 
@@ -60,17 +59,17 @@ def random_config(rng: random.Random, V: int, max_den: int = 100) -> PointConfig
 def random_tetrahedron(rng: random.Random):
     while True:
         verts = [
-            RatVector([Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)])
+            [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)]
             for _ in range(4)
         ]
         v0, v1, v2, v3 = verts
-        det6 = (v1 - v0).dot((v2 - v0).cross(v3 - v0))
+        det6 = dot(sub(v1, v0), cross(sub(v2, v0), sub(v3, v0)))
         if det6 != 0:
             return verts, abs(det6) / 6
 
 
 def centroid(verts):
-    return RatVector([sum(v[k] for v in verts) / len(verts) for k in range(3)])
+    return [sum(v[k] for v in verts) / len(verts) for k in range(3)]
 
 
 def test_shadow_sign_cases():
@@ -122,14 +121,14 @@ def test_shadowed_implies_smaller_norm():
         for i in range(cfg.V):
             for j in range(cfg.V):
                 if i != j and matrix[i][j] == -1:
-                    assert cfg.vertices[i].norm_sq() < cfg.vertices[j].norm_sq()
+                    assert norm_sq(cfg.vertices[i]) < norm_sq(cfg.vertices[j])
 
 
 def test_farthest_vertex_always_equilibrium():
     rng = random.Random(31)
     for _ in range(60):
         cfg = random_config(rng, rng.randint(4, 7))
-        norms = [v.norm_sq() for v in cfg.vertices]
+        norms = [norm_sq(v) for v in cfg.vertices]
         farthest = norms.index(max(norms))
         assert farthest in equilibrium_rows(vertex_shadow_matrix(cfg))
         assert count_unstable(cfg) >= 1
@@ -147,7 +146,7 @@ def test_mono_unstable_characterization():
             matrix[i][j] == 0 for i in range(cfg.V) for j in range(cfg.V) if i != j
         ):
             continue
-        norms = [v.norm_sq() for v in cfg.vertices]
+        norms = [norm_sq(v) for v in cfg.vertices]
         farthest = norms.index(max(norms))
         rows_with_minus = all(
             any(matrix[i][j] == -1 for j in range(cfg.V) if j != i)
@@ -161,8 +160,7 @@ def test_mono_unstable_characterization():
 
 
 def test_face_counts_symmetric_tetrahedron():
-    qcfg = simplex_face_vectors([RatVector(list(map(Fraction, v))) for v in TETRA],
-                                RatVector([0, 0, 0]))
+    qcfg = simplex_face_vectors([list(map(Fraction, v)) for v in TETRA], [0, 0, 0])
     assert count_stable(qcfg) == 4
     assert equilibrium_rows(face_shadow_matrix(qcfg)) == [0, 1, 2, 3]
 
@@ -180,7 +178,7 @@ def test_face_shadow_implies_larger_norm():
         for i in range(4):
             for j in range(4):
                 if i != j and matrix[i][j] == -1:
-                    assert qcfg.faces[j].norm_sq() < qcfg.faces[i].norm_sq()
+                    assert norm_sq(qcfg.faces[j]) < norm_sq(qcfg.faces[i])
 
 
 def _definition_sign(x: Fraction) -> int:
@@ -240,18 +238,47 @@ def test_shadow_matrices_match_the_definition():
 def test_simplex_rejects_flat():
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSimplex):
-        simplex_face_vectors(flat, RatVector([0, 0, 0]))
+        simplex_face_vectors(flat, [0, 0, 0])
     with pytest.raises(DegenerateSimplex):
         simplex_area_vectors(flat)
 
 
 def test_simplex_rejects_outside_reference():
-    verts = [RatVector(list(map(Fraction, v))) for v in TETRA]
-    with pytest.raises(OutsideError):
-        simplex_face_vectors(verts, RatVector([5, 5, 5]))
+    verts = [list(map(Fraction, v)) for v in TETRA]
+    for outside in ([5, 5, 5], (5, 5, 5), ["5", "5", "5"], [0, 0, Fraction(7, 2)]):
+        with pytest.raises(OutsideError):
+            simplex_face_vectors(verts, outside)
     # boundary (a vertex) is not strictly inside either
     with pytest.raises(OutsideError):
         simplex_face_vectors(verts, verts[0])
+    # a plain int list for o is coerced like the vertices
+    origin = simplex_face_vectors(TETRA, [0, 0, 0])
+    assert origin == simplex_face_vectors(verts, (Fraction(0),) * 3)
+    assert origin.faces[0] == (Fraction(-1, 3),) * 3
+
+
+def held(point):
+    """A point as a configuration holds it, in the package's vector type."""
+    return PointConfig([point, point]).vertices[0]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: simplex_area_vectors([(0, 0), (1, 0), (0, 1), (2, 3)]),
+                 id="2-D vertices"),
+    pytest.param(lambda: simplex_face_vectors([v + (0,) for v in TETRA], (0, 0, 0, 0)),
+                 id="4-D vertices"),
+    pytest.param(lambda: simplex_area_vectors([(1, 1, 1), (1, -1, -1), (-1, 1), (-1, -1, 1)]),
+                 id="mixed-dimension vertices"),
+    pytest.param(lambda: simplex_face_vectors(TETRA, held((0, 0))), id="2-D o"),
+    pytest.param(lambda: simplex_face_vectors(TETRA, held((0, 0, 0, 5))), id="4-D o"),
+    pytest.param(lambda: dawson_tips(held((1, 0, 0)), held((3, 0))), id="dawson length mismatch"),
+])
+def test_geometry_refuses_wrong_dimensions(call):
+    """Each is refused by an explicit check of the dimensions, not by an
+    OutsideError or an unpacking error, nor answered on truncated vectors."""
+    with pytest.raises(ValueError, match="dimension|length mismatch") as info:
+        call()
+    assert type(info.value) is ValueError
 
 
 def test_area_vectors_close_up_and_volume_identity():
@@ -262,7 +289,10 @@ def test_area_vectors_close_up_and_volume_identity():
         assert all(sum(col) == 0 for col in zip(*xs))
         qcfg = simplex_face_vectors(verts, centroid(verts))
         for i in range(4):
-            assert xs[i].norm_sq() * qcfg.faces[i].norm_sq() == (3 * vol / 4) ** 2
+            assert norm_sq(xs[i]) * norm_sq(qcfg.faces[i]) == (3 * vol / 4) ** 2
+            # x_i is orthogonal to both edges of face i
+            a, b, c = (verts[j] for j in range(4) if j != i)
+            assert dot(xs[i], sub(b, a)) == 0 and dot(xs[i], sub(c, a)) == 0
 
 
 def test_area_vectors_point_outward():
@@ -270,16 +300,16 @@ def test_area_vectors_point_outward():
     xs = simplex_area_vectors(verts)
     c = centroid(verts)
     for i in range(4):
-        face_mid = RatVector(
-            [sum(verts[j][k] for j in range(4) if j != i) / 3 for k in range(3)]
-        )
-        assert xs[i].dot(face_mid - c) > 0
+        face_mid = [sum(verts[j][k] for j in range(4) if j != i) / 3 for k in range(3)]
+        assert dot(xs[i], sub(face_mid, c)) > 0
 
 
 def test_dawson_trivial_cases():
-    assert not dawson_tips(RatVector([1, 0, 0]), RatVector([1, 0, 0]))
-    assert dawson_tips(RatVector([1, 0, 0]), RatVector([3, 0, 0]))
-    assert not dawson_tips(RatVector([3, 0, 0]), RatVector([1, 0, 0]))
+    # plain int lists, as well as the Fraction tuples simplex_area_vectors returns
+    for vec in (list, lambda v: tuple(map(Fraction, v))):
+        assert not dawson_tips(vec([1, 0, 0]), vec([1, 0, 0]))
+        assert dawson_tips(vec([1, 0, 0]), vec([3, 0, 0]))
+        assert not dawson_tips(vec([3, 0, 0]), vec([1, 0, 0]))
 
 
 def test_dawson_equivalent_to_face_shadowing():
@@ -301,7 +331,7 @@ def test_dual_zero_sum_reverses_tipping():
     for _ in range(25):
         verts, _ = random_tetrahedron(rng)
         xs = simplex_area_vectors(verts)
-        if any(x.is_zero() for x in xs):
+        if not all(map(any, xs)):
             continue
         dual = face_shadow_matrix(FaceConfig(xs))
         for i in range(4):
