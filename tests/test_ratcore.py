@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_reference import reference_det, solve_column_subset
+from fraction_reference import cross, dot, reference_det, solve_column_subset
 
 from monoproof import ratcore
+from monoproof.equilibria import simplex_area_vectors
 from monoproof.ratcore import (
     SingularError,
     as_rational,
@@ -50,6 +51,23 @@ def test_as_rational_rejects_float_and_bool():
         as_rational(0.5)
     with pytest.raises(TypeError):
         as_rational(True)
+
+
+def test_cross_product_orthogonality():
+    # The reference cross product that the volume checks rely on, and the
+    # one inside the tetrahedron helpers: the face (0, u, v) opposite the
+    # vertex u x v has outward area vector -(u x v) / 2.
+    rng = random.Random(5)
+    for _ in range(50):
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        w = cross(u, v)
+        assert dot(w, u) == 0
+        assert dot(w, v) == 0
+        if any(w):
+            x = simplex_area_vectors([[0, 0, 0], u, v, w])[3]
+            assert list(x) == [-c / 2 for c in w]
+            assert dot(x, u) == 0 and dot(x, v) == 0
 
 
 def test_matrix_shape_validation():
