@@ -48,9 +48,17 @@ class OutsideError(ValueError):
     """Reference point is not strictly interior to the simplex."""
 
 
+def _vector(v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """One vector as a Fraction tuple.  A str or bytes is refused with
+    ValueError: iterating it would split "12" into the coordinates 1, 2."""
+    if isinstance(v, (str, bytes)):
+        raise ValueError(f"a vector must be a sequence of coordinates, not {v!r}")
+    return tuple(map(as_rational, v))
+
+
 def _vectors(items: Iterable[Sequence[RationalLike]], noun: str) -> tuple:
     """At least two Fraction tuples of one positive dimension, or ValueError."""
-    vecs = tuple(tuple(map(as_rational, v)) for v in items)
+    vecs = tuple(map(_vector, items))
     if len(vecs) < 2:
         raise ValueError(f"need at least 2 {noun}")
     if len({len(v) for v in vecs}) > 1 or not vecs[0]:
@@ -161,7 +169,7 @@ def _tetrahedron(vertices: Sequence[Sequence[RationalLike]]) -> tuple[list, list
     outward normal of the opposite face (a, b, c): (b - a) x (c - a), its
     sign chosen to point away from vertex i.  ValueError unless given four
     points of dimension 3; DegenerateSimplex at zero volume."""
-    vertices = [tuple(map(as_rational, v)) for v in vertices]
+    vertices = [_vector(v) for v in vertices]
     if len(vertices) != 4 or any(len(v) != 3 for v in vertices):
         raise ValueError("a tetrahedron needs 4 vertices of dimension 3")
     normals = []
@@ -185,7 +193,7 @@ def simplex_face_vectors(vertices: Sequence[Sequence[RationalLike]],
     divides by |normal|^2, so everything stays rational.
     """
     vertices, normals = _tetrahedron(vertices)
-    o = tuple(map(as_rational, o))
+    o = _vector(o)
     if len(o) != 3:
         raise ValueError("the reference point needs dimension 3")
     qs = []
@@ -207,7 +215,7 @@ def simplex_area_vectors(vertices: Sequence[Sequence[RationalLike]]) -> list[tup
 def dawson_tips(x_i: Sequence[RationalLike], x_j: Sequence[RationalLike]) -> bool:
     """Tipping condition |x_i| < |x_j| cos(theta_ij) on area vectors,
     evaluated as the exact rational x_i.x_j - x_i.x_i > 0."""
-    x_i, x_j = tuple(map(as_rational, x_i)), tuple(map(as_rational, x_j))
+    x_i, x_j = _vector(x_i), _vector(x_j)
     if len(x_i) != len(x_j):
         raise ValueError(f"area vectors differ in dimension: {len(x_i)} vs {len(x_j)}")
     return _dot(x_i, x_j) - _dot(x_i, x_i) > 0

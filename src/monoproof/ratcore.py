@@ -15,7 +15,10 @@ integer Gauss-Jordan pivot (_jordan_pivot) serves both the general
 solve_linear and the phase-I simplex nonneg_solution_exists, which takes
 integer rows [A | t] that are already cleared and pivots on them alone:
 the artificial identity columns never enter, and a pivot step acts on
-each column on its own, so they are never stored.
+each column on its own, so they are never stored.  Both eliminations take
+their rows as lists and update each entry in place, so the rows must not
+alias one another: packed rows differ in length, and solve_linear and the
+simplex copy their rows first.
 """
 
 from __future__ import annotations
@@ -90,18 +93,19 @@ def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[in
 def _jordan_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
     """Integer-preserving Gauss-Jordan step on entry (r, c), in place.
 
-    Every row i != r becomes (p * row_i - row_i[c] * row_r) // prev with
-    p = rows[r][c]; row r is kept, and p is returned as the next ``prev``.
-    Starting from an integer matrix with prev = 1, every entry stays a minor
-    of that matrix (Edmonds, J. Res. NBS 71B, 1967), so each division is
-    exact.
+    Every row other than row r becomes (p * row - row[c] * row_r) // prev
+    with p = rows[r][c], entry by entry in its own list; row r is kept, and
+    p is returned as the next ``prev``.  Starting from an integer matrix
+    with prev = 1, every entry stays a minor of that matrix (Edmonds, J.
+    Res. NBS 71B, 1967), so each division is exact.
     """
     row_r = rows[r]
     p = row_r[c]
-    for i, row in enumerate(rows):
-        if i != r:
+    for row in rows:
+        if row is not row_r:
             a = row[c]
-            rows[i] = [(p * x - a * y) // prev for x, y in zip(row, row_r)]
+            for e in range(len(row)):
+                row[e] = (p * row[e] - a * row_r[e]) // prev
     return p
 
 
@@ -182,7 +186,8 @@ def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
 def symmetric_bareiss(m: list[list[int]]) -> int:
     """Fraction-free elimination of a symmetric integer matrix without
     pivoting, on its upper triangle stored as packed rows: m[r][c - r] is
-    entry (r, c) for c >= r.  Rows are replaced in place.
+    entry (r, c) for c >= r.  Each packed row is a list updated in place,
+    entry by entry.
 
     Returns how many leading principal minors are positive.  Elimination
     stops at the first one that is not: on return with count k, m[r][0] is
@@ -199,8 +204,10 @@ def symmetric_bareiss(m: list[list[int]]) -> int:
         if pivot <= 0:
             return k
         for i in range(k + 1, size):
-            a = row_k[i - k]
-            m[i] = [(pivot * x - a * y) // prev for x, y in zip(m[i], row_k[i - k:])]
+            row, d = m[i], i - k
+            a = row_k[d]
+            for c in range(len(row)):
+                row[c] = (pivot * row[c] - a * row_k[d + c]) // prev
         prev = pivot
     return size
 

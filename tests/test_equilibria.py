@@ -281,6 +281,19 @@ def test_geometry_refuses_wrong_dimensions(call):
     assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: PointConfig(["12", "34"]), id="configuration"),
+    pytest.param(lambda: simplex_area_vectors([TETRA[0], "111", *TETRA[2:]]), id="tetrahedron"),
+    pytest.param(lambda: simplex_face_vectors(TETRA, "000"), id="reference point"),
+    pytest.param(lambda: dawson_tips("10", "30"), id="dawson"),
+])
+def test_geometry_refuses_a_string_for_a_vector(call):
+    """A "p/q" string is one coordinate, never a vector: iterating "12"
+    would give the coordinates (1, 2)."""
+    with pytest.raises(ValueError, match="sequence of coordinates"):
+        call()
+
+
 def test_area_vectors_close_up_and_volume_identity():
     rng = random.Random(77)
     for _ in range(50):

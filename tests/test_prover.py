@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from fraction_reference import form_value, minimizer, reference_is_pd, unpacked
+from fraction_reference import form_value, minimizer, reference_det, reference_is_pd, unpacked
 
 from monoproof import expansion, prover
 from monoproof.expansion import (
@@ -312,6 +312,33 @@ def test_integer_core_agrees_with_form_path():
     assert min(outcomes[kind] for kind in ("non_pd", "negative", "positive")) > 0, outcomes
 
 
+@pytest.mark.parametrize("V", range(4, 11))
+def test_verify_certificate_matches_the_fraction_leading_minors(V):
+    """verify_certificate's verdict on G(c) against the leading minors
+    d_1, ..., d_(V-1) of G(c) from Fraction determinants: a PD Hessian
+    exactly when d_1..d_(V-2) are positive, then the minimum
+    d_(V-1) / (2 d_(V-2)) (the Schur complement of the corner), positive
+    when d_(V-1) is.  Seeded systems and weights at each V, with the
+    certificate the search finds for the first of them among the draws."""
+    rng = random.Random(V)
+    systems = [ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
+               for _ in range(12)]
+    cases = [(system, tuple(rng.randint(1, 100) for _ in range(V - 1))) for system in systems]
+    found = search_certificate(systems[0], SearchConfig(base_seed=V, max_trials=100_000))
+    cases.append((systems[0], found.coeffs))
+    outcomes = Counter()
+    for system, coeffs in cases:
+        full = unpacked(weighted_inequality_sum(system, coeffs))
+        minors = [reference_det([row[:k] for row in full[:k]]) for k in range(1, V)]
+        got = verify_certificate(V, system, coeffs)
+        assert got.hessian_pd == all(d > 0 for d in minors[:-1])
+        if got.hessian_pd:
+            assert got.min_value == minors[-1] / (2 * minors[-2])
+            assert got.positive == (minors[-1] > 0)
+        outcomes["positive" if got.positive else "negative" if got.hessian_pd else "non_pd"] += 1
+    assert outcomes["positive"] and outcomes["negative"] + outcomes["non_pd"], outcomes
+
+
 def test_pd_flag_against_second_difference_hessian():
     """A positive-definiteness oracle that shares no code with the forms or
     the elimination: the (V-2) x (V-2) Hessian of
@@ -392,6 +419,60 @@ def test_audit_catches_a_consistent_point_that_is_not_stationary():
                     for i, c, j in zip(range(2, V + 1), row.coeffs, row.system.j))
             with pytest.raises(RuntimeError, match="failed the geometric audit"):
                 prover._audit(row.system, row.coeffs, [0] * (V - 2), 1, 2 * g)
+
+
+def audit_cases():
+    """Sampled bundled rows with their dense minimum as _audit receives it:
+    (system, coeffs, X, D, d_last), the minimizer X / D and the corner
+    minor d_last, so the minimum is d_last / (2 D)."""
+    for V in (4, 5, 6, 7):
+        for row in parse_certificate_table(bundled_table_path(V)).rows[::37]:
+            m = weighted_inequality_sum(row.system, row.coeffs)
+            assert symmetric_bareiss(m) == V - 1
+            X, D = homogeneous_solution(m)
+            yield row.system, row.coeffs, X, D, m[-1][0]
+
+
+def test_audit_rejects_the_value_moved_either_way_or_the_minimizer_moved():
+    """The true minimum passes; the value one unit up or down, or the
+    minimizer's numerators moved by +-1 in any one coordinate, must be
+    rejected.  The value one unit down passes a value check that only
+    rejects a value too high."""
+    for system, coeffs, X, D, d_last in audit_cases():
+        prover._audit(system, coeffs, X, D, d_last)
+        for wrong in (d_last - 1, d_last + 1):
+            with pytest.raises(RuntimeError, match="failed the geometric audit"):
+                prover._audit(system, coeffs, X, D, wrong)
+        for k in range(len(X)):
+            for step in (-1, 1):
+                moved = list(X)
+                moved[k] += step
+                with pytest.raises(RuntimeError, match="failed the geometric audit"):
+                    prover._audit(system, coeffs, moved, D, d_last)
+
+
+def test_audit_checks_the_gradient_in_every_coordinate():
+    """x = x* + G_h^-1 e_k has gradient e_k: zero in every coordinate but
+    k.  Reported with its own value, scaled so that it is integral, it
+    passes the value check, so only the derivative in coordinate k can
+    reject it, for each k including the last.  The same construction at
+    x* itself passes."""
+    for system, coeffs, X, D, d_last in audit_cases():
+        g = weighted_inequality_sum(system, coeffs)
+        hessian, _ = hessian_and_linear_part(g)
+        n = len(X)
+        for k in [None, *range(n)]:
+            delta = solve_linear(hessian, [int(p == k) for p in range(n)])
+            x = [Fraction(a, D) + b for a, b in zip(X, delta)]
+            value = form_value(g, x)
+            scale = math.lcm(*(v.denominator for v in x))
+            scale *= (2 * scale * value).denominator
+            point = ([int(scale * v) for v in x], scale, int(2 * scale * value))
+            if k is None:
+                prover._audit(system, coeffs, *point)
+            else:
+                with pytest.raises(RuntimeError, match="failed the geometric audit"):
+                    prover._audit(system, coeffs, *point)
 
 
 def test_prove_unsolvable_v4():

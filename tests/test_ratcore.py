@@ -269,16 +269,33 @@ def test_pd_gram_matrices():
         assert is_positive_definite(bumped)
 
 
+def eliminated_by_reference(full, count):
+    """The packed rows symmetric_bareiss leaves when it stops after
+    ``count`` steps, from Fraction determinants alone: row r has taken
+    s = min(r, count) steps, so its entry (r, c) is the minor on rows
+    0..s-1, r and columns 0..s-1, c."""
+    size = len(full)
+    rows = []
+    for r in range(size):
+        keep = list(range(min(r, count)))
+        rows.append([reference_det([[full[i][j] for j in keep + [c]] for i in keep + [r]])
+                     for c in range(r, size)])
+    return rows
+
+
 def test_symmetric_bareiss_agrees_with_reference_path():
     """The shared symmetric elimination on a homogenized [[H, b], [b^T, c]]
     must stop at the first nonpositive leading minor, leave the minors a
-    separate Fraction determinant computes on its diagonal, and, when H is
-    positive definite, back-substitute to the pivoting solver's solution of
-    H x = -b."""
+    separate Fraction determinant computes on its diagonal and every entry
+    where the reference minors put it, and, when H is positive definite,
+    back-substitute to the pivoting solver's solution of H x = -b.  H runs
+    up to 9 x 9, the size at V = 10, with random draws and, for every size,
+    a stop forced at each position: the (s, s) entry of a positive definite
+    matrix lowered until the (s+1)-th leading minor is not positive."""
     rng = random.Random(14)
-    outcomes = set()
+    cases = []
     for _ in range(120):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 9)
         g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         sym = [[sum(g[k][i] * g[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         if rng.random() < 0.5:
@@ -288,18 +305,32 @@ def test_symmetric_bareiss_agrees_with_reference_path():
             i = rng.randrange(n)
             sym[i][i] -= rng.randint(0, 6)
         rhs = [rng.randint(-9, 9) for _ in range(n)]
-        full = [row + [b] for row, b in zip(sym, rhs)] + [rhs + [rng.randint(-20, 80)]]
+        cases.append((sym, rhs, [row + [b] for row, b in zip(sym, rhs)]
+                      + [rhs + [rng.randint(-20, 80)]]))
+    for n in range(1, 10):
+        for stop in range(n + 1):
+            g = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(n + 1)]
+            full = [[sum(g[k][i] * g[k][j] for k in range(n + 1)) + (i == j)
+                     for j in range(n + 1)] for i in range(n + 1)]
+            below, at = (reference_det([row[:k] for row in full[:k]]) for k in (stop, stop + 1))
+            full[stop][stop] -= -(-at // below) + rng.randint(0, 2)  # minor stop+1 is linear in it
+            cases.append(([row[:n] for row in full[:n]], full[n][:n], full))
+    outcomes, stops = set(), set()
+    for sym, rhs, full in cases:
+        n = len(sym)
         minors = [reference_det([row[:k] for row in full[:k]]) for k in range(1, n + 2)]
         expected = next((k for k, d in enumerate(minors) if d <= 0), n + 1)
         m = [row[r:] for r, row in enumerate(full)]
         count = symmetric_bareiss(m)
         assert count == expected
         assert [m[k][0] for k in range(min(count + 1, n + 1))] == minors[: count + 1]
+        assert m == eliminated_by_reference(full, count)
         outcomes.add("not PD" if count < n else "last minor" if count == n else "all")
+        stops.add((n, count))
         if count >= n:
             X, D = homogeneous_solution(m)
             assert D == minors[n - 1]
             x = tuple(Fraction(v, D) for v in X)
             assert x == solve_linear(sym, [-b for b in rhs])
     assert outcomes == {"not PD", "last minor", "all"}
-
+    assert stops >= {(n, k) for n in range(1, 10) for k in range(n + 1)}
