@@ -17,7 +17,7 @@ from monoproof.equilibria import (
     count_stable,
     count_unstable,
     dawson_tips,
-    equilibrium_rows,
+    equilibrium_indices,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,

@@ -22,7 +22,7 @@ from monoproof import __version__
 from monoproof.equilibria import (
     FaceConfig,
     PointConfig,
-    equilibrium_rows,
+    equilibrium_indices,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
@@ -169,11 +169,12 @@ def cmd_count(ns: argparse.Namespace) -> int:
     if isinstance(cfg, FaceConfig):
         label, noun, matrix = "S", "face", face_shadow_matrix(cfg)
     else:
-        if not cfg.is_generic:
-            print("warning: squared vertex norms are not pairwise distinct; "
-                  "degenerate contacts possible", file=sys.stderr)
         label, noun, matrix = "U", "vertex", vertex_shadow_matrix(cfg)
-    found = equilibrium_rows(matrix)
+    found = equilibrium_indices(cfg)
+    # the diagonal is 0, so a second 0 in a row is a degenerate contact
+    if any(row.count(0) > 1 for row in matrix):
+        print(f"warning: degenerate contacts (zero shadow signs); a {noun} "
+              "listed with one is not counted as an equilibrium", file=sys.stderr)
     print(f"{label} = {len(found)}")
     for i, row in enumerate(matrix):
         state = "equilibrium" if i in found else _describe_row(row, i, noun)

@@ -7,19 +7,21 @@ vectors q_i (foot of the perpendicular from the center of mass).
 
 A configuration's vectors are plain tuples of Fractions, coerced once from
 int, Fraction or "p/q" entries, and its dimension is their common length.
-All signs come from one integer kernel on rows cleared once per configuration
-with ratcore.clear_denominators, R_i = L * r_i with L the lcm of every
-coordinate denominator (a PointConfig keeps its cleared rows), and it
-returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every
-sign, zeros (degenerate contacts) included, so K on the vertices is the vertex
+All signs come from integer rows cleared once per configuration with
+ratcore.clear_denominators, R_i = L * r_i with L the lcm of every coordinate
+denominator (each configuration keeps its cleared rows).  The kernel returns
+K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every sign,
+zeros (degenerate contacts) included, so K on the vertices is the vertex
 shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
-shadow matrix is K on the face vectors, transposed.  The hull test and the
-genericity check read the same cleared rows.  Norm comparisons use squared
-norms, so no roots ever appear.
+shadow matrix is K on the face vectors, transposed.  The hull test reads
+the same cleared rows.  Norm comparisons use squared norms, so no roots
+ever appear.
 
-A shadow matrix is the tuple of its sign rows, and equilibrium_rows is the
-one statement of the equilibrium rule on it: the counts and the `count`
-command read it alike.
+A shadow matrix is the tuple of its sign rows.  equilibrium_indices is the
+one statement of the equilibrium rule: it decides each row from the squared
+norms and computes a dot product only where they cannot decide, so the
+counts never build the matrix, and `count` reads the matrix only to say
+what keeps the other rows from being equilibria.
 
 The tetrahedron helpers (face and area vectors, Dawson and Finbow's
 tipping test) need only differences and dot products of Fraction triples
@@ -82,16 +84,10 @@ class PointConfig:
     @cached_property
     def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(R, L) with R_i = L * r_i and L the lcm of every coordinate
-        denominator, computed on first use: the kernel, the genericity check
-        and every hull query of this configuration read the same rows."""
+        denominator, computed on first use: the equilibria, the kernel and
+        every hull query of this configuration read the same rows."""
         rows, L = clear_denominators(self.vertices)
         return tuple(map(tuple, rows)), L
-
-    @property
-    def is_generic(self) -> bool:
-        """True when all squared vertex norms are pairwise distinct."""
-        norms = [sum(map(operator.mul, R, R)) for R in self.cleared[0]]
-        return len(set(norms)) == len(norms)
 
 
 @dataclass(frozen=True)
@@ -106,6 +102,13 @@ class FaceConfig:
         if any(not any(q) for q in vecs):
             raise ValueError("face vectors must be nonzero")
         object.__setattr__(self, "faces", vecs)
+
+    @cached_property
+    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(R, L) with R_i = L * q_i, as PointConfig.cleared: the equilibria
+        and the kernel of this configuration read the same rows."""
+        rows, L = clear_denominators(self.faces)
+        return tuple(map(tuple, rows)), L
 
 
 def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -136,31 +139,61 @@ def vertex_shadow_matrix(cfg: PointConfig) -> tuple[tuple[int, ...], ...]:
 def face_shadow_matrix(cfg: FaceConfig) -> tuple[tuple[int, ...], ...]:
     """Dual rows of signs, entry (i,j) = sign((q_j - q_i).q_j): the kernel
     on the face vectors transposed.  -1 means face i is shadowed by face j."""
-    return tuple(zip(*_shadow_kernel(clear_denominators(cfg.faces)[0])))
+    return tuple(zip(*_shadow_kernel(cfg.cleared[0])))
 
 
-def equilibrium_rows(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """0-based indices of the rows of a shadow matrix whose off-diagonal
-    entries are all +1 (the diagonal is 0).  A zero entry (a degenerate
-    contact) makes the row fall short, so degenerate equilibria never count."""
-    return [i for i, row in enumerate(matrix) if sum(row) == len(matrix) - 1]
+def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
+    """Sorted 0-based indices of the equilibria: the unstable vertices of a
+    PointConfig, the stable faces of a FaceConfig.  These are the rows of
+    the shadow matrix whose off-diagonal entries are all +1; a zero entry
+    (a degenerate contact) spoils a row, so degenerate equilibria never count.
+
+    On the cleared rows, with d_a = |R_a|^2, vertex a is spoiled by b iff
+    R_a.R_b >= d_a, and face a by b iff R_a.R_b >= d_b.  By Cauchy-Schwarz
+    R_a.R_b <= sqrt(d_a d_b), which is below d_a when d_b < d_a, and at
+    d_b = d_a reaches it only when R_b == R_a.  So a vertex can be spoiled
+    only by a vertex strictly farther out, a face only by a face strictly
+    nearer, and either by a copy of itself.  Each row without a copy is
+    tested against those candidates in norm order, farthest first for
+    vertices and nearest first for faces, until one spoils it: at most
+    n(n - 1)/2 dot products besides the n norms, and none between rows of
+    equal norm.
+    """
+    rows = cfg.cleared[0]
+    faces = isinstance(cfg, FaceConfig)
+    # (d, R, index) in norm order; copies of a row sort next to each other
+    ranked = sorted(zip(map(_dot, rows, rows), rows, range(len(rows))), reverse=not faces)
+    copied = {R for (_, R, _), (_, S, _) in zip(ranked, ranked[1:]) if R == S}
+    found, start = [], 0
+    for p, (d, R, a) in enumerate(ranked):
+        if d != ranked[start][0]:
+            start = p  # ranked[:start] holds the rows strictly past d
+        if R in copied:
+            continue
+        for e, S, _ in ranked[:start]:
+            if _dot(R, S) >= (e if faces else d):
+                break
+        else:
+            found.append(a)
+    return sorted(found)
 
 
 def count_unstable(cfg: PointConfig) -> int:
     """Number of (nondegenerate) unstable vertex equilibria."""
-    return len(equilibrium_rows(vertex_shadow_matrix(cfg)))
+    return len(equilibrium_indices(cfg))
 
 
 def count_stable(cfg: FaceConfig) -> int:
     """Number of (nondegenerate) stable face equilibria."""
-    return len(equilibrium_rows(face_shadow_matrix(cfg)))
+    return len(equilibrium_indices(cfg))
 
 
 def _sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(map(operator.sub, u, v))
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def _dot(u: Sequence, v: Sequence):
+    """The dot product of two int or two Fraction vectors."""
     return sum(map(operator.mul, u, v))
 
 

@@ -27,7 +27,7 @@ from monoproof.equilibria import (
     PointConfig,
     count_unstable,
     dawson_tips,
-    equilibrium_rows,
+    equilibrium_indices,
     face_shadow_matrix,
     simplex_area_vectors,
     simplex_face_vectors,
@@ -61,9 +61,8 @@ def random_rational(rng, span=12, max_den=100):
 def random_generic_config(rng, V):
     while True:
         points = [[random_rational(rng) for _ in range(3)] for _ in range(V)]
-        cfg = PointConfig(points)
-        if cfg.is_generic:
-            return cfg
+        if len({norm_sq(p) for p in points}) == V:
+            return PointConfig(points)
 
 
 def support_plane_unstable(points):
@@ -179,7 +178,7 @@ def test_criterion_4_count_matches_support_plane_oracle(announce):
         expected = support_plane_unstable(cfg.vertices)
         if count_unstable(cfg) != len(expected):
             discrepancies += 1
-        elif set(equilibrium_rows(vertex_shadow_matrix(cfg))) != expected:
+        elif set(equilibrium_indices(cfg)) != expected:
             discrepancies += 1
     announce(4, discrepancies == 0,
              f"1000 random generic configs vs support-plane oracle, "
@@ -205,7 +204,7 @@ def test_criterion_5_exact_property_suites(announce):
                 if i != j and matrix[i][j] == -1:
                     assert norms[i] < norms[j]
         farthest = max(range(V), key=lambda i: norms[i])
-        assert farthest in equilibrium_rows(matrix)
+        assert farthest in equilibrium_indices(cfg)
 
     # tetrahedron identities, exact: area vectors sum to zero and
     # |x_i|^2 |q_i|^2 equals (3 Vol / 4)^2 about the centroid

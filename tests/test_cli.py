@@ -281,9 +281,20 @@ def test_count_regular_tetrahedron(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "U = 4"
     assert out.count("equilibrium") == 4
-    # all four vertices share the same squared norm, so the genericity
-    # warning must fire
-    assert "not pairwise distinct" in err
+    # all four vertices share one squared norm, but no two are in contact
+    assert err == ""
+
+
+@pytest.mark.parametrize("kind, noun", [("vertices", "vertex"), ("faces", "face")])
+def test_count_warns_of_a_contact_between_distinct_norms(tmp_path, capsys, kind, noun):
+    # the squared norms 1, 2, 5, 25 differ, yet (r_1 - r_2).r_1 = 0: vertex 1
+    # and, read as faces, face 2 have a degenerate contact
+    coords = [[1, 0, 0], [1, 1, 0], [-2, -1, 0], [0, 0, 5]]
+    cfg = write_json(tmp_path, {"d": 3, "kind": kind, "coords": coords})
+    code, out, err = run(capsys, "count", "--input", cfg)
+    assert code == 0
+    assert "degenerate contact" in out
+    assert err == CONTACT_WARNING.format(noun=noun)
 
 
 def test_count_generic_configuration_no_warning(tmp_path, capsys):
@@ -361,14 +372,14 @@ def test_count_rejects_non_numeric_coordinates(tmp_path, capsys, bad):
 # Fraction sign loop.  MIXED has a degenerate contact (vertex 1 and vertex 2,
 # (r_1 - r_2).r_1 = 0) and a doubly shadowed row; as face vectors it has a
 # degenerate contact (face 2 with face 1) next to a shadowing.  TIED has
-# equal squared norms, so the genericity warning fires, and a point inside
-# the hull of the others.
+# equal squared norms, a degenerate contact, and a point inside the hull of
+# the others.  Each contact makes `count` warn on stderr.
 MIXED = [["1", "0", "0"], ["1", "1", "0"], ["-2", "-1", "0"], ["0", "0", "5"],
          ["1/2", "1/3", "-1/6"], ["-3/2", "2", "1/4"]]
 TIED = [[2, 0, 0], [0, 2, 0], [1, 1, 0], [-1, -1, -1], ["1/3", "-2/3", "0"],
         ["-2", "0", "0"]]
-GENERICITY_WARNING = ("warning: squared vertex norms are not pairwise distinct; "
-                      "degenerate contacts possible\n")
+CONTACT_WARNING = ("warning: degenerate contacts (zero shadow signs); a {noun} "
+                   "listed with one is not counted as an equilibrium\n")
 
 
 @pytest.mark.parametrize("coords, kind, flags, stdout, stderr", [
@@ -379,7 +390,7 @@ GENERICITY_WARNING = ("warning: squared vertex norms are not pairwise distinct; 
      "vertex 3: equilibrium\n"
      "vertex 4: equilibrium\n"
      "vertex 5: shadowed by vertex 1, 2\n"
-     "vertex 6: equilibrium\n", ""),
+     "vertex 6: equilibrium\n", CONTACT_WARNING.format(noun="vertex")),
     (MIXED, "faces", [],
      "S = 4\n"
      "face 1: shadowed by face 5\n"
@@ -387,7 +398,7 @@ GENERICITY_WARNING = ("warning: squared vertex norms are not pairwise distinct; 
      "face 3: equilibrium\n"
      "face 4: equilibrium\n"
      "face 5: equilibrium\n"
-     "face 6: equilibrium\n", ""),
+     "face 6: equilibrium\n", CONTACT_WARNING.format(noun="face")),
     (TIED, "vertices", [],
      "U = 4\n"
      "vertex 1: equilibrium\n"
@@ -395,7 +406,7 @@ GENERICITY_WARNING = ("warning: squared vertex norms are not pairwise distinct; 
      "vertex 3: degenerate contact with vertex 1, 2\n"
      "vertex 4: equilibrium\n"
      "vertex 5: shadowed by vertex 1\n"
-     "vertex 6: equilibrium\n", GENERICITY_WARNING),
+     "vertex 6: equilibrium\n", CONTACT_WARNING.format(noun="vertex")),
 ], ids=["vertices", "faces", "tied-vertices"])
 def test_count_golden_output(tmp_path, capsys, coords, kind, flags, stdout, stderr):
     cfg = write_json(tmp_path, {"d": 3, "kind": kind, "coords": coords})
@@ -531,11 +542,8 @@ def test_check_hull_golden_output(tmp_path, capsys, coords, code, stdout):
     assert run(capsys, "check-hull", "--input", cfg) == (code, stdout, "")
 
 
-@pytest.mark.parametrize("command, code", [("check-hull", 1), ("count", 0)])
-def test_a_vertex_configuration_is_cleared_once(tmp_path, capsys, monkeypatch, command, code):
-    """check-hull clears the configuration's denominators once, not twice
-    per point (for the query, then for its simplex tableau); count clears
-    them once for the genericity check and the shadow kernel together."""
+def counted_clearings(monkeypatch) -> list:
+    """A list that grows by one for each clear_denominators call."""
     calls = []
     clear = monoproof.ratcore.clear_denominators
 
@@ -545,8 +553,26 @@ def test_a_vertex_configuration_is_cleared_once(tmp_path, capsys, monkeypatch, c
 
     for module in (monoproof.ratcore, monoproof.equilibria):
         monkeypatch.setattr(module, "clear_denominators", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command, code", [("check-hull", 1), ("count", 0)])
+def test_a_vertex_configuration_is_cleared_once(tmp_path, capsys, monkeypatch, command, code):
+    """check-hull clears the configuration's denominators once, not twice
+    per point (for the query, then for its simplex tableau); count clears
+    them once for the equilibria and the shadow kernel together."""
+    calls = counted_clearings(monkeypatch)
     cfg = write_json(tmp_path, {"d": 3, "kind": "vertices", "coords": TIED})
     assert run(capsys, command, "--input", cfg)[0] == code
+    assert len(calls) == 1
+
+
+def test_a_face_configuration_is_cleared_once(tmp_path, capsys, monkeypatch):
+    """count on faces clears the denominators once for the equilibria and
+    the shadow kernel together."""
+    calls = counted_clearings(monkeypatch)
+    cfg = write_json(tmp_path, {"d": 3, "kind": "faces", "coords": TIED})
+    assert run(capsys, "count", "--input", cfg)[0] == 0
     assert len(calls) == 1
 
 

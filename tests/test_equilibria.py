@@ -1,11 +1,14 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from fraction_reference import cross, dot, norm_sq, solve_column_subset, sub
+from test_cli import MIXED, TIED
 
+from monoproof import equilibria
 from monoproof.equilibria import (
     DegenerateSimplex,
     FaceConfig,
@@ -14,7 +17,7 @@ from monoproof.equilibria import (
     count_stable,
     count_unstable,
     dawson_tips,
-    equilibrium_rows,
+    equilibrium_indices,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
@@ -52,7 +55,7 @@ def random_config(rng: random.Random, V: int, max_den: int = 100) -> PointConfig
                 for _ in range(V)
             ]
         )
-        if cfg.is_generic:
+        if len({norm_sq(v) for v in cfg.vertices}) == V:
             return cfg
 
 
@@ -81,8 +84,8 @@ def test_shadow_sign_cases():
 def test_regular_tetrahedron_all_unstable():
     cfg = PointConfig(TETRA)
     assert count_unstable(cfg) == 4
-    assert equilibrium_rows(vertex_shadow_matrix(cfg)) == [0, 1, 2, 3]
-    assert not cfg.is_generic  # symmetric: all norms equal
+    assert equilibrium_indices(cfg) == [0, 1, 2, 3]
+    assert len({norm_sq(v) for v in cfg.vertices}) == 1  # symmetric: all norms equal
 
 
 def test_cube_all_unstable():
@@ -95,7 +98,7 @@ def test_shadowed_vertex_is_not_counted():
     cfg = PointConfig([(10, 0, 0), (9, 1, 0), (-5, 3, 1), (-4, -8, 2)])
     matrix = vertex_shadow_matrix(cfg)
     assert matrix[1][0] == -1
-    assert 1 not in equilibrium_rows(matrix)
+    assert 1 not in equilibrium_indices(cfg)
 
 
 def test_degenerate_contact_row_not_counted():
@@ -103,7 +106,7 @@ def test_degenerate_contact_row_not_counted():
     cfg = PointConfig([(1, 0, 0), (1, 1, 0), (-2, -1, 0), (0, 0, 5)])
     matrix = vertex_shadow_matrix(cfg)
     assert matrix[0][1] == 0
-    assert 0 not in equilibrium_rows(matrix)
+    assert 0 not in equilibrium_indices(cfg)
 
 
 def test_counts_match_support_plane_oracle():
@@ -130,7 +133,7 @@ def test_farthest_vertex_always_equilibrium():
         cfg = random_config(rng, rng.randint(4, 7))
         norms = [norm_sq(v) for v in cfg.vertices]
         farthest = norms.index(max(norms))
-        assert farthest in equilibrium_rows(vertex_shadow_matrix(cfg))
+        assert farthest in equilibrium_indices(cfg)
         assert count_unstable(cfg) >= 1
 
 
@@ -162,7 +165,7 @@ def test_mono_unstable_characterization():
 def test_face_counts_symmetric_tetrahedron():
     qcfg = simplex_face_vectors([list(map(Fraction, v)) for v in TETRA], [0, 0, 0])
     assert count_stable(qcfg) == 4
-    assert equilibrium_rows(face_shadow_matrix(qcfg)) == [0, 1, 2, 3]
+    assert equilibrium_indices(qcfg) == [0, 1, 2, 3]
 
 
 def test_face_shadow_implies_larger_norm():
@@ -183,6 +186,29 @@ def test_face_shadow_implies_larger_norm():
 
 def _definition_sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
+
+
+def definition_matrices(pts):
+    """The vertex and face sign matrices by a direct Fraction loop over the
+    definitions (r_i - r_j).r_i and (q_j - q_i).q_j."""
+    vertex_ref = [
+        [0 if i == j else _definition_sign(sum((a - b) * a for a, b in zip(ri, rj)))
+         for j, rj in enumerate(pts)]
+        for i, ri in enumerate(pts)
+    ]
+    face_ref = [
+        [0 if i == j else _definition_sign(sum((b - a) * b for a, b in zip(qi, qj)))
+         for j, qj in enumerate(pts)]
+        for i, qi in enumerate(pts)
+    ]
+    return vertex_ref, face_ref
+
+
+def positive_rows(matrix):
+    """The equilibrium rule over a sign matrix: the rows whose off-diagonal
+    entries are all +1."""
+    return [i for i, row in enumerate(matrix)
+            if all(v == 1 for j, v in enumerate(row) if j != i)]
 
 
 def test_shadow_matrices_match_the_definition():
@@ -208,31 +234,99 @@ def test_shadow_matrices_match_the_definition():
                 pts.insert(rng.randrange(n + 1), list(rng.choice(pts)))
             n = len(pts)
             repeats += 1
-        vertex_ref = [
-            [0 if i == j else _definition_sign(sum((a - b) * a for a, b in zip(ri, rj)))
-             for j, rj in enumerate(pts)]
-            for i, ri in enumerate(pts)
-        ]
-        face_ref = [
-            [0 if i == j else _definition_sign(sum((b - a) * b for a, b in zip(qi, qj)))
-             for j, qj in enumerate(pts)]
-            for i, qi in enumerate(pts)
-        ]
+        vertex_ref, face_ref = definition_matrices(pts)
         vcfg, fcfg = PointConfig(pts), FaceConfig(pts)
         assert [list(row) for row in vertex_shadow_matrix(vcfg)] == vertex_ref
         assert [list(row) for row in face_shadow_matrix(fcfg)] == face_ref
-        full = [[i for i, row in enumerate(ref) if all(v == 1 for j, v in enumerate(row)
-                                                       if j != i)]
-                for ref in (vertex_ref, face_ref)]
-        assert equilibrium_rows(vertex_shadow_matrix(vcfg)) == full[0]
-        assert count_unstable(vcfg) == len(full[0])
-        assert equilibrium_rows(face_shadow_matrix(fcfg)) == full[1]
-        assert count_stable(fcfg) == len(full[1])
-        norms = [sum(a * a for a in p) for p in pts]
-        assert vcfg.is_generic == (len(set(norms)) == n)
+        assert count_unstable(vcfg) == len(positive_rows(vertex_ref))
+        assert count_stable(fcfg) == len(positive_rows(face_ref))
         zeros += sum(row.count(0) - 1 for row in vertex_ref)
         signs += sum(row.count(-1) for row in vertex_ref)
     assert zeros > 0 and signs > 0 and repeats > 0
+
+
+def counted_dot_products(monkeypatch):
+    """A list that grows by one for each dot product equilibria computes."""
+    calls = []
+    dot_product = equilibria._dot
+
+    def counting(u, v):
+        calls.append(None)
+        return dot_product(u, v)
+
+    monkeypatch.setattr(equilibria, "_dot", counting)
+    return calls
+
+
+def check_equilibrium_indices(pts, calls):
+    """equilibrium_indices on pts as vertices and, if none is zero, as faces,
+    against the rows of the sign matrix and the Fraction definitions; each
+    call takes at most n(n+1)/2 dot products.  Returns the two index lists."""
+    n = len(pts)
+    vertex_ref, face_ref = definition_matrices(pts)
+    configs = [(PointConfig(pts), vertex_ref, vertex_shadow_matrix)]
+    if all(map(any, pts)):
+        configs.append((FaceConfig(pts), face_ref, face_shadow_matrix))
+    found = []
+    for cfg, ref, shadow in configs:
+        cfg.cleared  # clear outside the count: clearing takes no dot product
+        calls.clear()
+        got = equilibrium_indices(cfg)
+        assert len(calls) <= n * (n + 1) // 2
+        assert got == positive_rows(shadow(cfg)) == positive_rows(ref)
+        found.append(got)
+    return found
+
+
+def test_equilibrium_indices_match_the_sign_rows_and_the_definition(monkeypatch):
+    """400 seeded sets in d = 1..5 with 2..14 points, p/q coordinates with
+    |p| <= 3 and q <= 3, so that ties, zero signs and mixed denominators
+    occur.  About half gain copies of drawn points, and about a third gain
+    the zero vector; those are checked as vertices only, since a face
+    vector is nonzero."""
+    calls = counted_dot_products(monkeypatch)
+    rng = random.Random(23)
+    kinds = Counter()
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        n = rng.randint(2, 14)
+        pts = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+               for _ in range(n)]
+        pts = [p if any(p) else [Fraction(1)] * d for p in pts]
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                pts.insert(rng.randrange(len(pts) + 1), list(rng.choice(pts)))
+            kinds["copies"] += 1
+        if rng.random() < 0.3:
+            pts.insert(rng.randrange(len(pts) + 1), [Fraction(0)] * d)
+            kinds["zero"] += 1
+        found = check_equilibrium_indices(pts, calls)
+        kinds["faces"] += len(found) == 2
+        kinds["d=1"] += d == 1
+    assert min(kinds.values()) > 20, kinds
+
+
+SIGNED_PERMUTATIONS = [[s * x for s, x in zip(signs, perm)]
+                       for perm in itertools.permutations((1, 2, 3))
+                       for signs in itertools.product((1, -1), repeat=3)]
+
+
+@pytest.mark.parametrize("pts, unstable, stable", [
+    (SIGNED_PERMUTATIONS, list(range(48)), list(range(48))),
+    (CUBE, list(range(8)), list(range(8))),
+    (TETRA, [0, 1, 2, 3], [0, 1, 2, 3]),
+    (MIXED, [1, 2, 3, 5], [2, 3, 4, 5]),
+    (TIED, [0, 1, 3, 5], [2, 3, 4, 5]),
+], ids=["signed-permutations", "cube", "tetrahedron", "mixed", "tied"])
+def test_equilibrium_indices_on_equal_norms(monkeypatch, pts, unstable, stable):
+    """Sets with equal squared norms, and the `count` goldens' MIXED and
+    TIED.  Rows of equal norm decide each other without a dot product, so
+    where all norms are equal only the n norms are computed."""
+    calls = counted_dot_products(monkeypatch)
+    pts = [list(map(Fraction, p)) for p in pts]
+    assert check_equilibrium_indices(pts, calls) == [unstable, stable]
+    if len({norm_sq(p) for p in pts}) == 1:
+        assert len(calls) == len(pts)
 
 
 def test_simplex_rejects_flat():

@@ -762,6 +762,18 @@ def test_tree_sweep_on_every_bundled_row():
     assert rows == 870
 
 
+@pytest.mark.parametrize("coeffs", [(4, 8, 1), (1, 2, 6)])
+def test_a_zero_minimum_is_negative_on_both_paths(coeffs):
+    """V = 4, j = (1, 1, 2): both weightings make G_h positive definite with
+    an exact minimum of 0, so neither is a certificate.  The dense path
+    reports the minimum and calls it not positive; the sweep reaches
+    top == 0, the first draw with its denominator 2 C_1 beta negative."""
+    system = ShadowSystem(4, (1, 1, 2))
+    check = verify_certificate(4, system, coeffs)
+    assert check.hessian_pd and check.min_value == 0 and check.positive is False
+    assert prover._tree_trial(system.j, coeffs) == "negative"
+
+
 def test_a_zero_pivot_falls_back_to_the_dense_path(monkeypatch):
     """On the chain j = (1, 2, 3) with c = (1, 1, 4), c_4 = 4 c_3 makes
     vertex 3's pivot 2 c_3 - c_4^2 / (2 c_4) zero: the sweep hands the draw
