@@ -9,10 +9,11 @@ A configuration's vectors are plain tuples of Fractions, coerced once from
 int, Fraction or "p/q" entries, and its dimension is their common length.
 All signs come from integer rows cleared once per configuration with
 ratcore.clear_denominators, R_i = L * r_i with L the lcm of every coordinate
-denominator (each configuration keeps its cleared rows).  The kernel returns
-K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every sign,
-zeros (degenerate contacts) included, so K on the vertices is the vertex
-shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
+denominator (each configuration clears them as it is built, in _build, and
+a function about one kind refuses the other with TypeError).  The kernel
+returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every
+sign, zeros (degenerate contacts) included, so K on the vertices is the
+vertex shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
 shadow matrix is K on the face vectors, transposed.  The hull test reads
 the same cleared rows.  Norm comparisons use squared norms, so no roots
 ever appear.
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -58,57 +58,60 @@ def _vector(v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(map(as_rational, v))
 
 
-def _vectors(items: Iterable[Sequence[RationalLike]], noun: str) -> tuple:
-    """At least two Fraction tuples of one positive dimension, or ValueError."""
+def _build(cfg: Union[PointConfig, FaceConfig], name: str,
+           items: Iterable[Sequence[RationalLike]]) -> None:
+    """Set cfg.<name>, "vertices" or "faces", to at least two Fraction
+    tuples of one positive dimension, each nonzero for faces, or raise
+    ValueError; then set cfg.cleared to their integer rows once, (R, L) with
+    R_i = L * v_i and L the lcm of every coordinate denominator: the
+    equilibria, the kernel and every hull query of cfg read the same rows."""
     vecs = tuple(map(_vector, items))
     if len(vecs) < 2:
-        raise ValueError(f"need at least 2 {noun}")
+        raise ValueError(f"need at least 2 {name}")
     if len({len(v) for v in vecs}) > 1 or not vecs[0]:
-        raise ValueError(f"all {noun} must have the same positive dimension")
-    return vecs
+        raise ValueError(f"all {name} must have the same positive dimension")
+    if name == "faces" and not all(map(any, vecs)):
+        raise ValueError("face vectors must be nonzero")
+    rows, L = clear_denominators(vecs)
+    object.__setattr__(cfg, name, vecs)
+    object.__setattr__(cfg, "cleared", (tuple(map(tuple, rows)), L))
 
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Vertex vectors r_i of a polytope, relative to the center of mass."""
+    """Vertex vectors r_i of a polytope, relative to the center of mass,
+    and their cleared integer rows (see _build)."""
 
     vertices: tuple[tuple[Fraction, ...], ...]
+    cleared: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices: Iterable[Sequence[RationalLike]]):
-        object.__setattr__(self, "vertices", _vectors(vertices, "vertices"))
+        _build(self, "vertices", vertices)
 
     @property
     def V(self) -> int:
         return len(self.vertices)
 
-    @cached_property
-    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(R, L) with R_i = L * r_i and L the lcm of every coordinate
-        denominator, computed on first use: the equilibria, the kernel and
-        every hull query of this configuration read the same rows."""
-        rows, L = clear_denominators(self.vertices)
-        return tuple(map(tuple, rows)), L
-
 
 @dataclass(frozen=True)
 class FaceConfig:
     """Face vectors q_i: from the center of mass to its orthogonal projection
-    onto each face plane.  All q_i must be nonzero."""
+    onto each face plane, all nonzero, and their cleared integer rows (see
+    _build)."""
 
     faces: tuple[tuple[Fraction, ...], ...]
+    cleared: tuple[tuple[tuple[int, ...], ...], int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, faces: Iterable[Sequence[RationalLike]]):
-        vecs = _vectors(faces, "faces")
-        if any(not any(q) for q in vecs):
-            raise ValueError("face vectors must be nonzero")
-        object.__setattr__(self, "faces", vecs)
+        _build(self, "faces", faces)
 
-    @cached_property
-    def cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(R, L) with R_i = L * q_i, as PointConfig.cleared: the equilibria
-        and the kernel of this configuration read the same rows."""
-        rows, L = clear_denominators(self.faces)
-        return tuple(map(tuple, rows)), L
+
+def _checked(cfg, kind: type):
+    """cfg itself if it is a kind, else TypeError: the two kinds hold the
+    same rows, and a count of the wrong kind would apply the other rule."""
+    if not isinstance(cfg, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(cfg).__name__}")
+    return cfg
 
 
 def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -133,13 +136,13 @@ def _shadow_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def vertex_shadow_matrix(cfg: PointConfig) -> tuple[tuple[int, ...], ...]:
     """Rows of signs, entry (i,j) = sign((r_i - r_j).r_i): the kernel on the
     vertices.  -1 means vertex i is shadowed by vertex j."""
-    return tuple(map(tuple, _shadow_kernel(cfg.cleared[0])))
+    return tuple(map(tuple, _shadow_kernel(_checked(cfg, PointConfig).cleared[0])))
 
 
 def face_shadow_matrix(cfg: FaceConfig) -> tuple[tuple[int, ...], ...]:
     """Dual rows of signs, entry (i,j) = sign((q_j - q_i).q_j): the kernel
     on the face vectors transposed.  -1 means face i is shadowed by face j."""
-    return tuple(zip(*_shadow_kernel(cfg.cleared[0])))
+    return tuple(zip(*_shadow_kernel(_checked(cfg, FaceConfig).cleared[0])))
 
 
 def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
@@ -180,12 +183,12 @@ def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
 
 def count_unstable(cfg: PointConfig) -> int:
     """Number of (nondegenerate) unstable vertex equilibria."""
-    return len(equilibrium_indices(cfg))
+    return len(equilibrium_indices(_checked(cfg, PointConfig)))
 
 
 def count_stable(cfg: FaceConfig) -> int:
     """Number of (nondegenerate) stable face equilibria."""
-    return len(equilibrium_indices(cfg))
+    return len(equilibrium_indices(_checked(cfg, FaceConfig)))
 
 
 def _sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -262,10 +265,10 @@ def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
     columns (R_j, L), j != i (the weights then sum to 1), which the exact
     phase-I simplex ``ratcore.nonneg_solution_exists`` decides.
     """
-    if not 0 <= i < cfg.V:
+    rows, L = _checked(cfg, PointConfig).cleared
+    if not 0 <= i < len(rows):
         raise IndexError(f"vertex index {i} out of range")
-    rows, L = cfg.cleared
-    return not nonneg_solution_exists([*zip(*rows[:i], *rows[i + 1:], rows[i]), (L,) * cfg.V])
+    return not nonneg_solution_exists([*zip(*rows[:i], *rows[i + 1:], rows[i]), (L,) * len(rows)])
 
 
 def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig]:

@@ -30,9 +30,9 @@ verdict shape, a TrialOutcome: "non_pd" for a Hessian that is not positive
 definite, "negative" for a nonpositive minimum, or, for a certificate, the
 triple (min_value, minimizer_num, minimizer_den), which
 VerifyResult.outcome gives for G(c).  Only a draw where the sweep meets a
-zero pivot, a fraction of a percent of draws, is decided by
-verify_certificate, and prove_unsolvable re-checks each certificate by
-comparing the two triples.
+zero pivot or a zero border corner beta, a fraction of a percent of draws,
+is decided by verify_certificate, and prove_unsolvable re-checks each
+certificate by comparing the two triples.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister),
@@ -205,11 +205,12 @@ def _tree_trial(j: Sequence[int], coeffs: Sequence[int]) -> Optional[TrialOutcom
     substitution along the tree then gives U = beta * x, integral by
     Cramer's rule, since beta is the determinant of the bordered matrix.
 
-    Returns None at a zero pivot, where the dense path decides; otherwise
-    the verdict that verify_certificate(...).outcome gives: "non_pd",
-    "negative", or, for a certificate, (min_value, num, den), the exact
-    minimum as a Fraction and the minimizer's numerators over one positive
-    denominator in lowest terms.
+    Returns None at a zero pivot or a zero border corner beta (a singular
+    bordered matrix), where the dense path decides; otherwise the verdict
+    that verify_certificate(...).outcome gives: "non_pd", "negative", or,
+    for a certificate, (min_value, num, den), the exact minimum as a
+    Fraction and the minimizer's numerators over one positive denominator
+    in lowest terms.
     """
     V = len(coeffs) + 1
     num = [0, 0, *(2 * c for c in coeffs)]  # indexed by vertex, 1..V
@@ -268,9 +269,10 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     """Randomized certificate search for one system.
 
     Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] (_draws)
-    and decide it with _tree_trial, or with verify_certificate at a zero pivot.  A
-    Hessian that is not positive definite counts as non-PD, a nonpositive
-    minimum as negative.  Returns the first Certificate found, or Exhausted
+    and decide it with _tree_trial, or with verify_certificate where the
+    sweep meets a zero pivot or a zero border corner beta.  A Hessian that
+    is not positive definite counts as non-PD, a nonpositive minimum as
+    negative.  Returns the first Certificate found, or Exhausted
     with per-failure-kind counters after max_trials draws.
     """
     negative, non_pd = 0, 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 from fraction_reference import cross, dot, norm_sq, solve_column_subset, sub
 from test_cli import MIXED, TIED
 
-from monoproof import equilibria
+from monoproof import equilibria, ratcore
 from monoproof.equilibria import (
     DegenerateSimplex,
     FaceConfig,
@@ -269,7 +270,6 @@ def check_equilibrium_indices(pts, calls):
         configs.append((FaceConfig(pts), face_ref, face_shadow_matrix))
     found = []
     for cfg, ref, shadow in configs:
-        cfg.cleared  # clear outside the count: clearing takes no dot product
         calls.clear()
         got = equilibrium_indices(cfg)
         assert len(calls) <= n * (n + 1) // 2
@@ -576,3 +576,56 @@ def test_point_config_validation():
         PointConfig([(1, 2), (3, 4, 5)])  # mixed dimensions
     with pytest.raises(ValueError):
         FaceConfig([(0, 0, 0), (1, 0, 0)])  # zero face vector
+
+
+@pytest.mark.parametrize("call, wrong", [
+    (count_unstable, FaceConfig),
+    (vertex_shadow_matrix, FaceConfig),
+    (lambda cfg: is_hull_vertex(cfg, 0), FaceConfig),
+    (count_stable, PointConfig),
+    (face_shadow_matrix, PointConfig),
+], ids=["count_unstable", "vertex_shadow_matrix", "is_hull_vertex",
+        "count_stable", "face_shadow_matrix"])
+def test_each_function_refuses_the_other_kind(call, wrong):
+    """Both kinds hold rows of one shape, so a count of the wrong kind
+    would apply the other sign rule; each function takes only its own."""
+    with pytest.raises(TypeError):
+        call(wrong(TETRA))
+
+
+def test_a_configuration_is_cleared_once_while_it_is_built(monkeypatch):
+    """clear_denominators runs once per configuration, as it is built, and
+    not at all in the counts, the shadow matrices or the hull queries."""
+    calls = []
+    clear = equilibria.clear_denominators
+
+    def counting(rows):
+        calls.append(rows)
+        return clear(rows)
+
+    for module in (equilibria, ratcore):
+        monkeypatch.setattr(module, "clear_denominators", counting)
+    pts = [(Fraction(1, 2), 0, 0), (0, Fraction(-2, 3), 1), (0, 0, 1), (-1, 1, Fraction(1, 6))]
+    points, faces = PointConfig(pts), FaceConfig(pts)
+    assert len(calls) == 2
+    assert points.cleared == faces.cleared == (((3, 0, 0), (0, -4, 6), (0, 0, 6), (-6, 6, 1)), 6)
+    equilibrium_indices(points), equilibrium_indices(faces)
+    count_unstable(points), count_stable(faces)
+    vertex_shadow_matrix(points), face_shadow_matrix(faces)
+    [is_hull_vertex(points, i) for i in range(points.V)]
+    assert len(calls) == 2
+
+
+def test_configs_compare_hash_and_print_by_their_vectors():
+    """cleared is neither compared, hashed nor printed, and assignment is
+    refused, as for a frozen dataclass of the vectors alone."""
+    for kind, name in ((PointConfig, "vertices"), (FaceConfig, "faces")):
+        cfg = kind([(1, "1/2"), (Fraction(-2), 3)])
+        assert cfg == kind([("2/2", Fraction(1, 2)), (-2, 3)])
+        assert cfg != kind([(1, 1), (-2, 3)])
+        assert hash(cfg) == hash((getattr(cfg, name),))
+        assert repr(cfg) == (f"{kind.__name__}({name}=((Fraction(1, 1), Fraction(1, 2)), "
+                             "(Fraction(-2, 1), Fraction(3, 1))))")
+        for attr in (name, "cleared"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, attr, ())

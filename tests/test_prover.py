@@ -774,6 +774,25 @@ def test_a_zero_minimum_is_negative_on_both_paths(coeffs):
     assert prover._tree_trial(system.j, coeffs) == "negative"
 
 
+@pytest.mark.parametrize("j", [(1, 1, 1, 1, 2), (1, 1, 1, 1, 3)])
+def test_a_zero_border_corner_falls_back_to_the_dense_path(j):
+    """V = 6, c = (1, 1, 1, 8, 8): with t_1 = 0, every trailing principal
+    minor of M, the matrix of 2 g_c over t_2..t_6, is nonzero, so the sweep
+    meets no zero pivot; but the bordered matrix [[M, 1], [1^T, 0]] is
+    singular, so the border corner beta is 0.  The sweep hands the draw to
+    G(c), whose Hessian is not positive definite."""
+    system, coeffs = ShadowSystem(6, j), (1, 1, 1, 8, 8)
+    M = [[0] * 5 for _ in range(5)]  # rows and columns t_2..t_6
+    for i, (c, parent) in enumerate(zip(coeffs, j)):
+        M[i][i] = 2 * c
+        if parent > 1:
+            M[i][parent - 2] = M[parent - 2][i] = -c
+    assert all(reference_det([row[k:] for row in M[k:]]) for k in range(5))
+    assert reference_det([row + [1] for row in M] + [[1] * 5 + [0]]) == 0
+    assert prover._tree_trial(system.j, coeffs) is None
+    assert verify_certificate(6, system, coeffs).outcome == "non_pd"
+
+
 def test_a_zero_pivot_falls_back_to_the_dense_path(monkeypatch):
     """On the chain j = (1, 2, 3) with c = (1, 1, 4), c_4 = 4 c_3 makes
     vertex 3's pivot 2 c_3 - c_4^2 / (2 c_4) zero: the sweep hands the draw

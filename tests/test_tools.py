@@ -96,7 +96,7 @@ def test_trial_core_reports_no_mismatch(capsys):
     assert all(line.endswith("mismatches 0") for line in lines)
     columns = [word for word in lines[0].split() if word.isalpha()]
     assert columns == ["draws", "sweep", "us", "verify", "us", "draw", "us", "randint", "us",
-                       "zero", "pivots", "mismatches"]
+                       "fallbacks", "mismatches"]
 
 
 def test_trial_core_exits_1_on_a_mismatch(capsys, monkeypatch):
