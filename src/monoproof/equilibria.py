@@ -15,7 +15,9 @@ returns K[a][b] = sign(|R_a|^2 - R_a.R_b).  Scaling by L^2 > 0 keeps every
 sign, zeros (degenerate contacts) included, so K on the vertices is the
 vertex shadow matrix.  Since (q_j - q_i).q_j = |q_j|^2 - q_i.q_j, the face
 shadow matrix is K on the face vectors, transposed.  The hull test reads
-the same cleared rows.  Norm comparisons use squared norms, so no roots
+the same cleared rows: a row strictly above or below every other row in
+one coordinate is a hull vertex at once, and any other query goes to the
+exact phase-I simplex.  Norm comparisons use squared norms, so no roots
 ever appear.
 
 A shadow matrix is the tuple of its sign rows.  equilibrium_indices is the
@@ -160,10 +162,13 @@ def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
     tested against those candidates in norm order, farthest first for
     vertices and nearest first for faces, until one spoils it: at most
     n(n - 1)/2 dot products besides the n norms, and none between rows of
-    equal norm.
+    equal norm.  Anything but a PointConfig or a FaceConfig is refused with
+    TypeError.
     """
-    rows = cfg.cleared[0]
-    faces = isinstance(cfg, FaceConfig)
+    kind = type(cfg)
+    if kind is not PointConfig and kind is not FaceConfig:
+        raise TypeError(f"expected a PointConfig or a FaceConfig, got {kind.__name__}")
+    rows, faces = cfg.cleared[0], kind is FaceConfig
     # (d, R, index) in norm order; copies of a row sort next to each other
     ranked = sorted(zip(map(_dot, rows, rows), rows, range(len(rows))), reverse=not faces)
     copied = {R for (_, R, _), (_, S, _) in zip(ranked, ranked[1:]) if R == S}
@@ -174,7 +179,7 @@ def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
         if R in copied:
             continue
         for e, S, _ in ranked[:start]:
-            if _dot(R, S) >= (e if faces else d):
+            if sum(map(operator.mul, R, S)) >= (e if faces else d):
                 break
         else:
             found.append(a)
@@ -260,15 +265,24 @@ def dawson_tips(x_i: Sequence[RationalLike], x_j: Sequence[RationalLike]) -> boo
 def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
     """True iff vertex i is NOT a convex combination of the other vertices.
 
-    Homogenized on the configuration's cleared rows R_j = L * r_j, that
-    asks whether (R_i, L) is a nonnegative combination of the integer
-    columns (R_j, L), j != i (the weights then sum to 1), which the exact
-    phase-I simplex ``ratcore.nonneg_solution_exists`` decides.
+    On the configuration's cleared rows R_j = L * r_j, a vertex whose
+    coordinate in some column is strictly above or strictly below every
+    other row's is one at once: every convex combination of the others has
+    that coordinate inside their range (Akl and Toussaint, Inf. Process.
+    Lett. 7, 1978).  Otherwise, homogenized, the question is whether
+    (R_i, L) is a nonnegative combination of the integer columns (R_j, L),
+    j != i (the weights then sum to 1), which the exact phase-I simplex
+    ``ratcore.nonneg_solution_exists`` decides.  Ties, repeated points and
+    vertices extreme only in an oblique direction all go to the simplex.
     """
     rows, L = _checked(cfg, PointConfig).cleared
     if not 0 <= i < len(rows):
         raise IndexError(f"vertex index {i} out of range")
-    return not nonneg_solution_exists([*zip(*rows[:i], *rows[i + 1:], rows[i]), (L,) * len(rows)])
+    others = rows[:i] + rows[i + 1:]
+    for x, col in zip(rows[i], zip(*others)):
+        if x > max(col) or x < min(col):
+            return True
+    return not nonneg_solution_exists([*zip(*others, rows[i]), (L,) * len(rows)])
 
 
 def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig]:

@@ -558,9 +558,9 @@ def counted_clearings(monkeypatch) -> list:
 
 @pytest.mark.parametrize("command, code", [("check-hull", 1), ("count", 0)])
 def test_a_vertex_configuration_is_cleared_once(tmp_path, capsys, monkeypatch, command, code):
-    """check-hull clears the configuration's denominators once, not twice
-    per point (for the query, then for its simplex tableau); count clears
-    them once for the equilibria and the shadow kernel together."""
+    """check-hull and count clear the configuration's denominators once,
+    as load_config builds the configuration: no hull query, simplex
+    tableau, equilibrium count or shadow kernel clears them again."""
     calls = counted_clearings(monkeypatch)
     cfg = write_json(tmp_path, {"d": 3, "kind": "vertices", "coords": TIED})
     assert run(capsys, command, "--input", cfg)[0] == code
@@ -568,8 +568,9 @@ def test_a_vertex_configuration_is_cleared_once(tmp_path, capsys, monkeypatch, c
 
 
 def test_a_face_configuration_is_cleared_once(tmp_path, capsys, monkeypatch):
-    """count on faces clears the denominators once for the equilibria and
-    the shadow kernel together."""
+    """count on faces clears the denominators once, as load_config builds
+    the configuration, and not again for the equilibria or the shadow
+    kernel."""
     calls = counted_clearings(monkeypatch)
     cfg = write_json(tmp_path, {"d": 3, "kind": "faces", "coords": TIED})
     assert run(capsys, "count", "--input", cfg)[0] == 0

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -329,6 +330,31 @@ def test_equilibrium_indices_on_equal_norms(monkeypatch, pts, unstable, stable):
         assert len(calls) == len(pts)
 
 
+def test_equilibrium_indices_keep_the_dot_product_bound(monkeypatch):
+    """The candidate loop writes its dot products inline, so count them by
+    their multiplications, d per product: at most n(n+1)/2 products with
+    the n norms, and the norms alone where all norms are equal."""
+    muls = []
+
+    def mul(a, b):
+        muls.append(None)
+        return a * b
+
+    monkeypatch.setattr(equilibria, "operator", types.SimpleNamespace(mul=mul))
+    rng = random.Random(25)
+    for _ in range(100):
+        d, n = rng.randint(1, 4), rng.randint(2, 12)
+        pts = [[rng.randint(-3, 3) or 1 for _ in range(d)] for _ in range(n)]
+        for cfg in (PointConfig(pts), FaceConfig(pts)):
+            muls.clear()
+            equilibrium_indices(cfg)
+            assert len(muls) <= d * n * (n + 1) // 2
+    for cfg in (PointConfig(SIGNED_PERMUTATIONS), FaceConfig(SIGNED_PERMUTATIONS)):
+        muls.clear()
+        equilibrium_indices(cfg)
+        assert len(muls) == 3 * 48
+
+
 def test_simplex_rejects_flat():
     flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     with pytest.raises(DegenerateSimplex):
@@ -515,10 +541,35 @@ def test_hull_vertex_matches_subset_oracle():
 
 def test_hull_vertex_moment_curve_24_points():
     # (t, t^2, t^3) for t = 0..23 is in convex position: every point is a
-    # hull vertex, so no query can stop early (the column-subset enumeration
+    # hull vertex, and only t = 0 and t = 23, strict extremes of a
+    # coordinate, stop before the simplex (the column-subset enumeration
     # solved all 10,902 subsets of size <= 4 per point here)
     cfg = PointConfig([(t, t * t, t ** 3) for t in range(24)])
     assert all(is_hull_vertex(cfg, i) for i in range(24))
+
+
+def test_hull_vertex_witness_skips_the_simplex(monkeypatch):
+    """The moment curve at t = -2..2 and the centroid (0, 5/2, 0) of
+    t = -2, -1, 1, 2.  t = -2 is the strict minimum of x, t = 0 of y and
+    t = 2 the strict maximum of x, so those three are decided without the
+    simplex; t = +-1 are extreme only obliquely and the centroid ties t = 0
+    in x, so those three run it once each."""
+    calls = []
+    simplex = equilibria.nonneg_solution_exists
+
+    def counting(system):
+        calls.append(None)
+        return simplex(system)
+
+    monkeypatch.setattr(equilibria, "nonneg_solution_exists", counting)
+    cfg = PointConfig([(t, t * t, t ** 3) for t in range(-2, 3)] + [(0, "5/2", 0)])
+    verdicts, counts = [], []
+    for i in range(cfg.V):
+        calls.clear()
+        verdicts.append(is_hull_vertex(cfg, i))
+        counts.append(len(calls))
+    assert verdicts == [True, True, True, True, True, False]
+    assert counts == [0, 1, 0, 1, 0, 1]
 
 
 def test_load_config_round_trip(tmp_path):
@@ -591,6 +642,14 @@ def test_each_function_refuses_the_other_kind(call, wrong):
     would apply the other sign rule; each function takes only its own."""
     with pytest.raises(TypeError):
         call(wrong(TETRA))
+
+
+def test_equilibrium_indices_refuses_a_non_configuration():
+    """It takes either kind and nothing else, with TypeError as the five
+    one-kind functions give."""
+    for cfg in ([(1, 0), (0, 1)], None):
+        with pytest.raises(TypeError, match="PointConfig or a FaceConfig"):
+            equilibrium_indices(cfg)
 
 
 def test_a_configuration_is_cleared_once_while_it_is_built(monkeypatch):

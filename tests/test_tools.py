@@ -119,3 +119,24 @@ def test_trial_core_exits_1_on_a_stream_mismatch(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines and not any("off-stream 0 " in line for line in lines)
     assert all(line.endswith("mismatches 0") for line in lines)
+
+
+def test_mutants_table_applies_and_names_its_killers():
+    """Every old text of the mutation table occurs once in its module, and
+    each mutant names existing tests that kill it or an equivalence reason,
+    not both."""
+    tool = load_tool("mutants")
+    assert tool.misplaced() == []
+    for m in tool.MUTANTS:
+        assert bool(m.kills) != bool(m.equivalent), m
+        for node_id in m.kills:
+            path, name = node_id.split("::")
+            assert f"def {name}(" in (TOOLS.parent / path).read_text("utf-8"), node_id
+
+
+def test_mutants_exits_2_on_a_text_that_does_not_occur_once(capsys, monkeypatch):
+    tool = load_tool("mutants")
+    common = tool.Mutant("equilibria.py", "return", "pass", equivalent="never run")
+    monkeypatch.setattr(tool, "MUTANTS", (common,))
+    assert tool.main() == 2
+    assert "'return' occurs" in capsys.readouterr().out
