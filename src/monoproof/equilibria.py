@@ -165,10 +165,10 @@ def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
     equal norm.  Anything but a PointConfig or a FaceConfig is refused with
     TypeError.
     """
-    kind = type(cfg)
-    if kind is not PointConfig and kind is not FaceConfig:
-        raise TypeError(f"expected a PointConfig or a FaceConfig, got {kind.__name__}")
-    rows, faces = cfg.cleared[0], kind is FaceConfig
+    faces = isinstance(cfg, FaceConfig)
+    if not faces and not isinstance(cfg, PointConfig):
+        raise TypeError(f"expected a PointConfig or a FaceConfig, got {type(cfg).__name__}")
+    rows = cfg.cleared[0]
     # (d, R, index) in norm order; copies of a row sort next to each other
     ranked = sorted(zip(map(_dot, rows, rows), rows, range(len(rows))), reverse=not faces)
     copied = {R for (_, R, _), (_, S, _) in zip(ranked, ranked[1:]) if R == S}
@@ -179,7 +179,7 @@ def equilibrium_indices(cfg: Union[PointConfig, FaceConfig]) -> list[int]:
         if R in copied:
             continue
         for e, S, _ in ranked[:start]:
-            if sum(map(operator.mul, R, S)) >= (e if faces else d):
+            if _dot(R, S) >= (e if faces else d):
                 break
         else:
             found.append(a)

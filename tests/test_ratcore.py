@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -185,15 +186,19 @@ def test_nonneg_solution_exists_matches_the_subset_oracle(monkeypatch):
     """2,000 seeded raw integer systems [A | t], 1..5 rows by 1..6 columns
     (m < n, m = n and m > n), with zeroed rows and columns, repeated
     columns, and zero, negative and feasible-by-construction targets.
-    Every tableau the pivot receives is [A | t] alone, n + 1 entries a row."""
+    Every tableau the pivot receives is [A | t] alone, n + 1 entries a row,
+    and no system takes more pivots than it has bases, C(m + n, m): Bland's
+    rule never returns to a basis, so a simplex that cycles fails here at
+    once rather than running forever."""
     rng = random.Random(16)
     width = 0
-    pivots = 0
+    pivots = limit = 0
     pivot = ratcore._jordan_pivot
 
     def spy(rows, r, c, prev):
         nonlocal pivots
         assert all(len(row) == width for row in rows)
+        assert pivots < limit, "more pivots than bases"
         pivots += 1
         return pivot(rows, r, c, prev)
 
@@ -221,7 +226,7 @@ def test_nonneg_solution_exists_matches_the_subset_oracle(monkeypatch):
             lam = [rng.randint(0, 2) for _ in range(n)]
             t = [sum(a * x for a, x in zip(row, lam)) for row in A]
         system = [[*row, b] for row, b in zip(A, t)]
-        width = n + 1
+        width, limit = n + 1, pivots + math.comb(m + n, m)
         expected = reference_nonneg_solution_exists(system)
         assert nonneg_solution_exists(system) is expected, system
         seen.add((expected, (m > n) - (m < n)))

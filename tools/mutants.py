@@ -60,13 +60,13 @@ MUTANTS = (
            equivalent="past a second negative pivot the sweep ends in non_pd, or in None where "
                       "the dense path finds non_pd"),
     Mutant("ratcore.py", "cost[c] > 0", "cost[c] >= 0",
-           (EQUILIBRIA + "test_hull_vertex_interior_point",)),
+           ("tests/test_ratcore.py::test_nonneg_solution_exists_matches_the_subset_oracle",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x > max(col)",
            (EQUILIBRIA + "test_hull_vertex_witness_skips_the_simplex",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x >= max(col) or x <= min(col)",
            (EQUILIBRIA + "test_hull_vertex_edge_midpoint",)),
     Mutant("equilibria.py", "for e, S, _ in ranked[:start]:", "for e, S, _ in ranked[:p]:",
-           (EQUILIBRIA + "test_equilibrium_indices_keep_the_dot_product_bound",)),
+           (EQUILIBRIA + "test_equilibrium_indices_on_equal_norms",)),
 )
 
 
