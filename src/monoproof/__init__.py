@@ -10,19 +10,14 @@ minimum.
 
 from monoproof.ratcore import parse_rational
 from monoproof.equilibria import (
-    DegenerateSimplex,
     FaceConfig,
-    OutsideError,
     PointConfig,
     count_stable,
     count_unstable,
-    dawson_tips,
     equilibrium_indices,
     face_shadow_matrix,
     is_hull_vertex,
     load_config,
-    simplex_area_vectors,
-    simplex_face_vectors,
     vertex_shadow_matrix,
 )
 from monoproof.expansion import (

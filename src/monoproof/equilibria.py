@@ -25,11 +25,6 @@ one statement of the equilibrium rule: it decides each row from the squared
 norms and computes a dot product only where they cannot decide, so the
 counts never build the matrix, and `count` reads the matrix only to say
 what keeps the other rows from being equilibria.
-
-The tetrahedron helpers (face and area vectors, Dawson and Finbow's
-tipping test) need only differences and dot products of Fraction triples
-and the four face normals, which _tetrahedron computes once, oriented
-outward.  Dimensions are checked explicitly, since zip would truncate.
 """
 
 from __future__ import annotations
@@ -42,14 +37,6 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from monoproof.ratcore import RationalLike, as_rational, clear_denominators, nonneg_solution_exists
-
-
-class DegenerateSimplex(ValueError):
-    """Simplex vertices are affinely dependent (zero volume)."""
-
-
-class OutsideError(ValueError):
-    """Reference point is not strictly interior to the simplex."""
 
 
 def _vector(v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -196,70 +183,9 @@ def count_stable(cfg: FaceConfig) -> int:
     return len(equilibrium_indices(_checked(cfg, FaceConfig)))
 
 
-def _sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(map(operator.sub, u, v))
-
-
 def _dot(u: Sequence, v: Sequence):
     """The dot product of two int or two Fraction vectors."""
     return sum(map(operator.mul, u, v))
-
-
-def _tetrahedron(vertices: Sequence[Sequence[RationalLike]]) -> tuple[list, list]:
-    """The four vertices as Fraction triples, and for each vertex i the
-    outward normal of the opposite face (a, b, c): (b - a) x (c - a), its
-    sign chosen to point away from vertex i.  ValueError unless given four
-    points of dimension 3; DegenerateSimplex at zero volume."""
-    vertices = [_vector(v) for v in vertices]
-    if len(vertices) != 4 or any(len(v) != 3 for v in vertices):
-        raise ValueError("a tetrahedron needs 4 vertices of dimension 3")
-    normals = []
-    for i, v in enumerate(vertices):
-        a, b, c = vertices[:i] + vertices[i + 1:]
-        (u1, u2, u3), (w1, w2, w3) = _sub(b, a), _sub(c, a)
-        normal = (u2 * w3 - u3 * w2, u3 * w1 - u1 * w3, u1 * w2 - u2 * w1)
-        side = _dot(normal, _sub(v, a))  # six times the signed volume
-        if side == 0:
-            raise DegenerateSimplex("vertices are affinely dependent")
-        normals.append(normal if side < 0 else tuple(-x for x in normal))
-    return vertices, normals
-
-
-def simplex_face_vectors(vertices: Sequence[Sequence[RationalLike]],
-                         o: Sequence[RationalLike]) -> FaceConfig:
-    """Face vectors of a tetrahedron relative to reference point o.
-
-    Face i is the face opposite vertex i; q_i points from o to the foot of
-    the perpendicular dropped onto that face's plane.  The projection only
-    divides by |normal|^2, so everything stays rational.
-    """
-    vertices, normals = _tetrahedron(vertices)
-    o = _vector(o)
-    if len(o) != 3:
-        raise ValueError("the reference point needs dimension 3")
-    qs = []
-    for i, normal in enumerate(normals):
-        depth = _dot(normal, _sub(vertices[(i + 1) % 4], o))  # vertex i + 1 lies on face i
-        if depth <= 0:  # o on the face plane or across it from vertex i
-            raise OutsideError("reference point is not strictly inside the simplex")
-        scale = depth / _dot(normal, normal)
-        qs.append(tuple(scale * x for x in normal))
-    return FaceConfig(qs)
-
-
-def simplex_area_vectors(vertices: Sequence[Sequence[RationalLike]]) -> list[tuple[Fraction, ...]]:
-    """Outward area vectors of a tetrahedron: x_i is normal to the face
-    opposite vertex i, |x_i| equals that face's area, and sum(x_i) = 0."""
-    return [tuple(x / 2 for x in normal) for normal in _tetrahedron(vertices)[1]]
-
-
-def dawson_tips(x_i: Sequence[RationalLike], x_j: Sequence[RationalLike]) -> bool:
-    """Tipping condition |x_i| < |x_j| cos(theta_ij) on area vectors,
-    evaluated as the exact rational x_i.x_j - x_i.x_i > 0."""
-    x_i, x_j = _vector(x_i), _vector(x_j)
-    if len(x_i) != len(x_j):
-        raise ValueError(f"area vectors differ in dimension: {len(x_i)} vs {len(x_j)}")
-    return _dot(x_i, x_j) - _dot(x_i, x_i) > 0
 
 
 def is_hull_vertex(cfg: PointConfig, i: int) -> bool:

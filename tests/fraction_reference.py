@@ -3,8 +3,10 @@
 They share no code with monoproof: a determinant by Gaussian elimination
 with row swaps, positive definiteness by Sylvester's criterion on it, the
 value of a form from its packed axis matrix, a minimizer as Fractions, the
-unique solution of a linear system on a subset of its columns, and the
-vector operations sub, dot, cross and norm_sq on sequences of Fractions.
+unique solution of a linear system on a subset of its columns, the
+vector operations sub, dot, cross and norm_sq on sequences of Fractions,
+and, on those, the outward area vectors and the face vectors of a
+tetrahedron and Dawson and Finbow's tipping test on area vectors.
 """
 
 from fractions import Fraction
@@ -30,6 +32,34 @@ def cross(u, v) -> list:
     """The cross product of two 3-vectors."""
     (a1, a2, a3), (b1, b2, b3) = u, v
     return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+
+
+def area_vectors(verts) -> list:
+    """For each vertex i of a tetrahedron, the outward normal of the face
+    (a, b, c) opposite it, (b - a) x (c - a) divided by +-2: its length is
+    the face's area, and the four sum to zero."""
+    xs = []
+    for i, v in enumerate(verts):
+        a, b, c = (verts[k] for k in range(4) if k != i)
+        x = cross(sub(b, a), sub(c, a))
+        s = -2 if dot(x, sub(v, a)) > 0 else 2
+        xs.append([Fraction(e) / s for e in x])
+    return xs
+
+
+def face_vectors(verts, o) -> list:
+    """For each face i of a tetrahedron, the one opposite vertex i, the
+    vector from o to the foot of the perpendicular on its plane:
+    (x.(p - o) / |x|^2) x for its area vector x and p = vertex i + 1, which
+    lies on face i."""
+    return [[dot(x, sub(verts[(i + 1) % 4], o)) / norm_sq(x) * e for e in x]
+            for i, x in enumerate(area_vectors(verts))]
+
+
+def tips(x_i, x_j) -> bool:
+    """Dawson and Finbow's tipping condition |x_i| < |x_j| cos(theta_ij) on
+    area vectors, as x_i.x_j > x_i.x_i."""
+    return dot(x_i, x_j) > norm_sq(x_i)
 
 
 def reference_det(rows) -> Fraction:

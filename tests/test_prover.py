@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -476,13 +477,29 @@ def test_audit_checks_the_gradient_in_every_coordinate():
 
 
 def test_prove_unsolvable_v4():
+    started = time.perf_counter()
     report = prove_unsolvable(4, SearchConfig(base_seed=1))
+    elapsed = time.perf_counter() - started
     assert report.V == 4
     assert len(report.systems) == 6
     assert report.all_certified
     assert report.verdict == "unsolvable"
     assert report.certified_count == 6
-    assert report.wall_clock_seconds > 0
+    assert 0 < report.wall_clock_seconds <= elapsed
+
+
+def test_check_proof_vertices_accepts_both_ends_of_its_range():
+    prover.check_proof_vertices(4)
+    prover.check_proof_vertices(10)
+
+
+def test_system_seeds_wrap_at_two_to_the_64():
+    """Each system's seed is (base_seed + system_id) mod 2**64, so a base
+    seed of 2**64 draws exactly what seed 0 draws."""
+    def rows(seed):
+        return prove_unsolvable(5, SearchConfig(base_seed=seed)).to_json()["systems"]
+
+    assert rows(2**64) == rows(0)
 
 
 def test_prove_unsolvable_rejects_small_v():

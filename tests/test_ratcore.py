@@ -4,10 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_reference import cross, dot, reference_det, solve_column_subset
+from fraction_reference import area_vectors, cross, dot, reference_det, solve_column_subset
 
 from monoproof import ratcore
-from monoproof.equilibria import simplex_area_vectors
 from monoproof.ratcore import (
     SingularError,
     as_rational,
@@ -55,9 +54,9 @@ def test_as_rational_rejects_float_and_bool():
 
 
 def test_cross_product_orthogonality():
-    # The reference cross product that the volume checks rely on, and the
-    # one inside the tetrahedron helpers: the face (0, u, v) opposite the
-    # vertex u x v has outward area vector -(u x v) / 2.
+    # The reference cross product that the volume checks and the reference
+    # area vectors rely on: the face (0, u, v) opposite the vertex u x v has
+    # outward area vector -(u x v) / 2.
     rng = random.Random(5)
     for _ in range(50):
         u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
@@ -66,7 +65,7 @@ def test_cross_product_orthogonality():
         assert dot(w, u) == 0
         assert dot(w, v) == 0
         if any(w):
-            x = simplex_area_vectors([[0, 0, 0], u, v, w])[3]
+            x = area_vectors([[0, 0, 0], u, v, w])[3]
             assert list(x) == [-c / 2 for c in w]
             assert dot(x, u) == 0 and dot(x, v) == 0
 
@@ -134,6 +133,24 @@ def in_cone(columns, target) -> bool:
     rows = [[*(as_rational(col[i]) for col in columns), as_rational(target[i])]
             for i in range(len(target))]
     return nonneg_solution_exists(clear_denominators(rows)[0])
+
+
+def test_jordan_pivot_returns_the_leading_minors():
+    """Pivoting (k, k) in turn from prev = 1, each pivot is the leading
+    k + 1 by k + 1 minor of the starting matrix: the division by prev keeps
+    every entry a minor, where any other scaling lets the entries grow."""
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        while True:
+            A = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n)]
+            minors = [reference_det([row[:k] for row in A[:k]]) for k in range(1, n + 1)]
+            if all(minors):
+                break
+        rows, prev = [list(row) for row in A], 1
+        for k in range(n):
+            prev = ratcore._jordan_pivot(rows, k, k, prev)
+            assert prev == minors[k]
 
 
 def test_nonneg_combination_target_equal_to_a_column():

@@ -56,11 +56,19 @@ MUTANTS = (
            (PROVER + "test_audit_rejects_the_value_moved_either_way_or_the_minimizer_moved",)),
     Mutant("prover.py", "grad[2:V] != [grad[V]] * (V - 2)", "grad[2:V - 1] != [grad[V]] * (V - 3)",
            (PROVER + "test_audit_checks_the_gradient_in_every_coordinate",)),
+    Mutant("prover.py", "V > MAX_PROOF_VERTICES", "V >= MAX_PROOF_VERTICES",
+           (PROVER + "test_check_proof_vertices_accepts_both_ends_of_its_range",)),
+    Mutant("prover.py", "_SEED_MASK = (1 << 64) - 1", "_SEED_MASK = (1 << 65) - 1",
+           (PROVER + "test_system_seeds_wrap_at_two_to_the_64",)),
+    Mutant("prover.py", "time.perf_counter() - started", "time.perf_counter() + started",
+           (PROVER + "test_prove_unsolvable_v4",)),
     Mutant("prover.py", "negatives == 2", "negatives == 3",
            equivalent="past a second negative pivot the sweep ends in non_pd, or in None where "
                       "the dense path finds non_pd"),
     Mutant("ratcore.py", "cost[c] > 0", "cost[c] >= 0",
            ("tests/test_ratcore.py::test_nonneg_solution_exists_matches_the_subset_oracle",)),
+    Mutant("ratcore.py", "a * row_r[e]) // prev", "a * row_r[e]) * prev",
+           ("tests/test_ratcore.py::test_jordan_pivot_returns_the_leading_minors",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x > max(col)",
            (EQUILIBRIA + "test_hull_vertex_witness_skips_the_simplex",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x >= max(col) or x <= min(col)",
