@@ -355,6 +355,8 @@ def ProcessPoolExecutor(max_workers: int):
 
 
 def _search_task(args: tuple[ShadowSystem, SearchConfig]) -> SystemResult:
+    # The pool pickles this function by name; search_certificate is looked up
+    # at call time, so a replaced binding (a traced wrapper) is never pickled.
     system, cfg = args
     return search_certificate(system, cfg)
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from monoproof.expansion import ShadowSystem
 from monoproof.ratcore import parse_integer, parse_rational
@@ -55,39 +55,22 @@ def _row_count(V: int) -> str:
         return f"{V - 1}!"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
+    """One system's coefficients c_2..c_V and the exact minimum they give."""
+
     system: ShadowSystem
     coeffs: tuple[int, ...]
     min_f: Fraction
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.system.V - 1:
-            raise ValueError("expected one coefficient per inequality (c_2..c_V)")
-        if min(self.coeffs) < 1:
-            raise ValueError("coefficients must be positive integers")
-
 
 @dataclass(frozen=True)
 class CertificateTable:
-    """All (V-1)! rows for one vertex count, in canonical system order."""
+    """What parse_certificate_table accepted: all (V-1)! rows for one vertex
+    count, in canonical system order, each with V-1 positive coefficients.
+    The constructor checks none of this."""
 
     V: int
     rows: tuple[TableRow, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != math.factorial(self.V - 1):
-            raise ValueError(
-                f"table for V={self.V} must have {_row_count(self.V)} rows, got {len(self.rows)}"
-            )
-        for pos, row in enumerate(self.rows):
-            if row.system.V != self.V:
-                raise ValueError("row vertex count differs from table vertex count")
-            if row.system.system_id != pos:
-                raise ValueError(
-                    f"rows out of canonical order at position {pos}: "
-                    f"got system {row.system.system_id} (duplicate or misordered)"
-                )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -141,11 +124,13 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
     U+FFFD, which no field accepts, so they fail as a malformed field of
     their line.
 
-    Each row is read in one pass: one test that its j and c fields are all
-    ASCII digits, then its integer fields are converted at once,
-    ShadowSystem checks the j ranges and TableRow the c signs.  Only a row
-    that fails there is rescanned field by field (_row_error), so that the
-    first bad field in column order is the one reported.
+    This is the only validator of a table: neither TableRow nor
+    CertificateTable checks what it is given.  Each row is read in one pass:
+    one test that its j and c fields are all ASCII digits, then its integer
+    fields are converted at once, ShadowSystem checks the j ranges and the
+    parser the c signs.  Only a row that fails there is rescanned field by
+    field (_row_error), so that the first bad field in column order is the
+    one reported.
     """
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = _records(csv.reader(fh))
@@ -173,11 +158,11 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
                 if not (digits.isascii() and digits.isdigit()):
                     raise ValueError("integer field not in ASCII digits")
                 values = list(map(int, fields))
-                row = TableRow(
-                    system=ShadowSystem.from_choices(V, values[: V - 2]),
-                    coeffs=tuple(values[V - 2 :]),
-                    min_f=parse_rational(record[-1]),
-                )
+                coeffs = tuple(values[V - 2 :])
+                if min(coeffs) < 1:
+                    raise ValueError("coefficients must be positive")
+                row = TableRow(ShadowSystem.from_choices(V, values[: V - 2]), coeffs,
+                               parse_rational(record[-1]))
             except ValueError as exc:
                 raise _row_error(record, V, line) or exc from None
             if row.system.system_id != len(rows):

@@ -672,11 +672,14 @@ def test_prove_caps_pool_workers(monkeypatch):
 def test_prove_through_the_real_pool_on_any_core_count(monkeypatch):
     """With the CPU count set to 2, jobs=2 starts the real, lazily imported
     process pool with 2 workers even on a 1-core host; the report equals the
-    serial one."""
+    serial one.  search_certificate is replaced by a local function, as a
+    tracer replaces it, which cannot be pickled: the pool must be handed
+    _search_task, never the current search_certificate binding."""
     cfg = SearchConfig(base_seed=3)
     serial = prove_unsolvable(5, cfg).to_json()
     started = []
     lazy = prover.ProcessPoolExecutor
+    search = prover.search_certificate
 
     def recording(max_workers):
         pool = lazy(max_workers=max_workers)
@@ -684,6 +687,7 @@ def test_prove_through_the_real_pool_on_any_core_count(monkeypatch):
         return pool
 
     monkeypatch.setattr(prover, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(prover, "search_certificate", lambda system, cfg: search(system, cfg))
     monkeypatch.setattr(prover.os, "cpu_count", lambda: 2)
     assert prove_unsolvable(5, cfg, jobs=2).to_json() == serial
     assert started == [(ProcessPoolExecutor, 2)]

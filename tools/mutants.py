@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 PROVER = "tests/test_prover.py::"
 EQUILIBRIA = "tests/test_equilibria.py::"
+TABLES = "tests/test_tables.py::"
 
 MUTANTS = (
     Mutant("prover.py", "top == 0 or ", "",
@@ -62,6 +63,9 @@ MUTANTS = (
            (PROVER + "test_system_seeds_wrap_at_two_to_the_64",)),
     Mutant("prover.py", "time.perf_counter() - started", "time.perf_counter() + started",
            (PROVER + "test_prove_unsolvable_v4",)),
+    Mutant("prover.py", "pool.map(_search_task, tasks,",
+           "pool.map(search_certificate, *zip(*tasks),",
+           (PROVER + "test_prove_through_the_real_pool_on_any_core_count",)),
     Mutant("prover.py", "negatives == 2", "negatives == 3",
            equivalent="past a second negative pivot the sweep ends in non_pd, or in None where "
                       "the dense path finds non_pd"),
@@ -75,6 +79,10 @@ MUTANTS = (
            (EQUILIBRIA + "test_hull_vertex_edge_midpoint",)),
     Mutant("equilibria.py", "for e, S, _ in ranked[:start]:", "for e, S, _ in ranked[:p]:",
            (EQUILIBRIA + "test_equilibrium_indices_on_equal_norms",)),
+    Mutant("tables.py", "min(coeffs) < 1", "min(coeffs) < 0",
+           (TABLES + "test_non_positive_coefficient",)),
+    Mutant("tables.py", "row.system.system_id != len(rows)", "row.system.system_id > len(rows)",
+           (TABLES + "test_duplicated_row_rejected",)),
 )
 
 
