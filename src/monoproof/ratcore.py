@@ -13,12 +13,12 @@ symmetric_bareiss is the proof core: the one elimination behind
 positive-definiteness tests and certificate checks.  Outside it, one
 integer Gauss-Jordan pivot (_jordan_pivot) serves both the general
 solve_linear and the phase-I simplex nonneg_solution_exists, which takes
-integer rows [A | t] that are already cleared and pivots on them alone:
-the artificial identity columns never enter, and a pivot step acts on
-each column on its own, so they are never stored.  Both eliminations take
-their rows as lists and update each entry in place, so the rows must not
-alias one another: packed rows differ in length, and solve_linear and the
-simplex copy their rows first.
+integer rows [A | t] that are already cleared and pivots on them plus one
+carried objective row, their phase-I cost: the artificial identity columns
+never enter, and a pivot step acts on each column on its own, so they are
+never stored.  Both eliminations take their rows as lists and update each
+entry in place, so the rows must not alias one another: packed rows differ
+in length, and solve_linear and the simplex copy their rows first.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[in
     """(R, L) for rows of int or Fraction entries: L is the lcm of every
     entry's denominator and R = L * rows, an integer matrix.  Scaling the
     whole matrix by one L > 0 keeps every sign and zero, the solution set of
-    a linear system and definiteness."""
-    rows = list(rows)
-    L = math.lcm(*{e.denominator for row in rows for e in row})
-    return [[e.numerator * (L // e.denominator) for e in row] for row in rows], L
+    a linear system and definiteness.  Each entry is read once, as its
+    as_integer_ratio()."""
+    ratios = [[e.as_integer_ratio() for e in row] for row in rows]
+    L = math.lcm(*{q for row in ratios for _, q in row})
+    return [[p * (L // q) for p, q in row] for row in ratios], L
 
 
 def _jordan_pivot(rows: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -148,13 +149,19 @@ def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
     stands for row i's artificial.  Their identity columns are never
     stored: an artificial never enters, the ratio test reads only the
     entering column and t, and a Gauss-Jordan step acts on each column on
-    its own, so dropping them changes no kept entry and no pivot.  Bland's
-    rule (Math. Oper. Res. 2, 1977) enters the lowest column with positive
-    phase-I cost (its sum over the rows whose basis is artificial) and
-    breaks ratio ties by the lowest basis index, so the simplex cannot
+    its own, so dropping them changes no kept entry and no pivot.  The
+    tableau carries one more row, the phase-I cost: the sum of the rows
+    whose basis is artificial, first all of them.  The pivot updates it
+    with the others, and it stays that sum: at a pivot (r, c), a row r
+    whose basis was artificial adds (p * row_r - p * row_r) // prev = 0 to
+    the update, so it leaves the sum, and the update is a sum of exact
+    quotients, so its own division is exact too.  Bland's rule
+    (Math. Oper. Res. 2, 1977) enters the lowest column with positive cost
+    and breaks ratio ties by the lowest basis index, so the simplex cannot
     cycle.  Every pivot is positive, so the tableau stays D * B^-1 [A | t]
-    with D > 0, and the target is feasible iff every artificial still in
-    the basis has right-hand side 0.  Raises ValueError on an empty system
+    with D > 0 and every target entry >= 0.  So the target is feasible iff
+    every artificial still in the basis has right-hand side 0, that is iff
+    the cost row's target entry is 0.  Raises ValueError on an empty system
     or on rows of unequal or zero length.
     """
     width = len(system[0]) if system else 0
@@ -162,25 +169,31 @@ def nonneg_solution_exists(system: Sequence[Sequence[int]]) -> bool:
         raise ValueError("need at least one row [A | t], all of one nonzero length")
     m, n = len(system), width - 1
     rows = [list(row) if row[-1] >= 0 else [-x for x in row] for row in system]
+    cost = [sum(col) for col in zip(*rows)]
+    rows.append(cost)
     basis = list(range(n, n + m))
     prev = 1
-    while True:
-        artificial = [row for row, col in zip(rows, basis) if col >= n]
-        if all(row[-1] == 0 for row in artificial):
-            return True
-        cost = [sum(col) for col in zip(*artificial)]
-        entering = next((c for c in range(n) if cost[c] > 0), None)
-        if entering is None:
+    while cost[-1]:
+        for c in range(n):
+            if cost[c] > 0:
+                break
+        else:
             return False
         # minimum ratio t_i / a_i over a_i > 0, cross-multiplied, ties to the lowest basis index
         r = None
         for i in range(m):
-            a = rows[i][entering]
-            if a > 0 and (r is None or (rows[i][-1] * rows[r][entering], basis[i])
-                          < (rows[r][-1] * a, basis[r])):
-                r = i
-        prev = _jordan_pivot(rows, r, entering, prev)
-        basis[r] = entering
+            row = rows[i]
+            a = row[c]
+            if a > 0:
+                if r is None:
+                    r, t, p = i, row[-1], a
+                else:
+                    d = row[-1] * p - t * a
+                    if d < 0 or d == 0 and basis[i] < basis[r]:
+                        r, t, p = i, row[-1], a
+        prev = _jordan_pivot(rows, r, c, prev)
+        basis[r] = c
+    return True
 
 
 def symmetric_bareiss(m: list[list[int]]) -> int:

@@ -3,10 +3,11 @@
 They share no code with monoproof: a determinant by Gaussian elimination
 with row swaps, positive definiteness by Sylvester's criterion on it, the
 value of a form from its packed axis matrix, a minimizer as Fractions, the
-unique solution of a linear system on a subset of its columns, the
-vector operations sub, dot, cross and norm_sq on sequences of Fractions,
-and, on those, the outward area vectors and the face vectors of a
-tetrahedron and Dawson and Finbow's tipping test on area vectors.
+unique solution of a linear system on a subset of its columns, a phase-I
+simplex that re-sums its cost at every pivot, the vector operations sub,
+dot, cross and norm_sq on sequences of Fractions, and, on those, the
+outward area vectors and the face vectors of a tetrahedron and Dawson and
+Finbow's tipping test on area vectors.
 """
 
 from fractions import Fraction
@@ -128,3 +129,36 @@ def solve_column_subset(columns, subset, target):
     if any(aug[r][k] != 0 for r in range(row, m)):
         return None
     return [aug[i][k] / aug[i][i] for i in range(k)]
+
+
+def phase_one_pivots(system):
+    """Bland's phase-I simplex on the rows [A | t] of int entries, over
+    Fractions, as (verdict, steps): each row is sign-flipped so t >= 0 and
+    starts with its artificial basis n + i; at every step the cost is
+    summed again over the rows whose basis is still artificial, the lowest
+    column with positive cost enters, and the row of least t_i / a_i over
+    a_i > 0 leaves, ties to the lowest basis index.  steps holds (r, c,
+    cost) for each pivot, with the cost it chose c from.  The verdict is
+    True when every artificial row has t = 0 and False when no column has
+    positive cost."""
+    m, n = len(system), len(system[0]) - 1
+    rows = [[Fraction(x if row[-1] >= 0 else -x) for x in row] for row in system]
+    basis = list(range(n, n + m))
+    steps = []
+    while True:
+        artificial = [row for row, col in zip(rows, basis) if col >= n]
+        if all(row[-1] == 0 for row in artificial):
+            return True, steps
+        cost = [sum(col, Fraction(0)) for col in zip(*artificial)]
+        c = next((c for c in range(n) if cost[c] > 0), None)
+        if c is None:
+            return False, steps
+        r = min((i for i in range(m) if rows[i][c] > 0),
+                key=lambda i: (rows[i][-1] / rows[i][c], basis[i]))
+        steps.append((r, c, cost))
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        basis[r] = c

@@ -4,7 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_reference import area_vectors, cross, dot, reference_det, solve_column_subset
+from fraction_reference import (
+    area_vectors,
+    cross,
+    dot,
+    phase_one_pivots,
+    reference_det,
+    solve_column_subset,
+)
 
 from monoproof import ratcore
 from monoproof.ratcore import (
@@ -199,28 +206,11 @@ def reference_nonneg_solution_exists(system) -> bool:
     return False
 
 
-def test_nonneg_solution_exists_matches_the_subset_oracle(monkeypatch):
+def seeded_systems():
     """2,000 seeded raw integer systems [A | t], 1..5 rows by 1..6 columns
     (m < n, m = n and m > n), with zeroed rows and columns, repeated
-    columns, and zero, negative and feasible-by-construction targets.
-    Every tableau the pivot receives is [A | t] alone, n + 1 entries a row,
-    and no system takes more pivots than it has bases, C(m + n, m): Bland's
-    rule never returns to a basis, so a simplex that cycles fails here at
-    once rather than running forever."""
+    columns, and zero, negative and feasible-by-construction targets."""
     rng = random.Random(16)
-    width = 0
-    pivots = limit = 0
-    pivot = ratcore._jordan_pivot
-
-    def spy(rows, r, c, prev):
-        nonlocal pivots
-        assert all(len(row) == width for row in rows)
-        assert pivots < limit, "more pivots than bases"
-        pivots += 1
-        return pivot(rows, r, c, prev)
-
-    monkeypatch.setattr(ratcore, "_jordan_pivot", spy)
-    seen = set()
     for _ in range(2000):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
@@ -242,14 +232,84 @@ def test_nonneg_solution_exists_matches_the_subset_oracle(monkeypatch):
         else:
             lam = [rng.randint(0, 2) for _ in range(n)]
             t = [sum(a * x for a, x in zip(row, lam)) for row in A]
-        system = [[*row, b] for row, b in zip(A, t)]
-        width, limit = n + 1, pivots + math.comb(m + n, m)
+        yield [[*row, b] for row, b in zip(A, t)]
+
+
+def test_nonneg_solution_exists_matches_the_subset_oracle(monkeypatch):
+    """The 2,000 seeded systems of seeded_systems.  Every tableau the pivot
+    receives is [A | t] plus the carried objective row, m + 1 rows of
+    n + 1 entries, and no system takes more pivots than it has bases,
+    C(m + n, m): Bland's rule never returns to a basis, so a simplex that
+    cycles fails here at once rather than running forever."""
+    height = width = 0
+    pivots = limit = 0
+    pivot = ratcore._jordan_pivot
+
+    def spy(rows, r, c, prev):
+        nonlocal pivots
+        assert len(rows) == height
+        assert all(len(row) == width for row in rows)
+        assert pivots < limit, "more pivots than bases"
+        pivots += 1
+        return pivot(rows, r, c, prev)
+
+    monkeypatch.setattr(ratcore, "_jordan_pivot", spy)
+    seen = set()
+    for system in seeded_systems():
+        m, n = len(system), len(system[0]) - 1
+        t = [row[-1] for row in system]
+        height, width, limit = m + 1, n + 1, pivots + math.comb(m + n, m)
         expected = reference_nonneg_solution_exists(system)
         assert nonneg_solution_exists(system) is expected, system
         seen.add((expected, (m > n) - (m < n)))
         seen.add(("negative target", min(t) < 0))
     assert seen >= {(v, s) for v in (True, False) for s in (-1, 0, 1)}
     assert ("negative target", True) in seen and pivots > 0
+
+
+def hull_systems():
+    """The tableaux [(R_j, L) ... | (R_i, L)] of every point i of ten
+    seeded sets shaped like the benchmark's hull sets: the moment curve
+    (t, t^2, t^3) at t = -2..2 with the centroid of four of its points
+    mixed in at a seeded position."""
+    rng = random.Random(29)
+    curve = [[Fraction(t), Fraction(t * t), Fraction(t * t * t)] for t in range(-2, 3)]
+    for _ in range(10):
+        points = list(curve)
+        picks = rng.sample(range(len(curve)), 4)
+        points.insert(rng.randrange(len(curve) + 1),
+                      [sum(curve[k][c] for k in picks) / 4 for c in range(3)])
+        rows, L = clear_denominators(points)
+        for i in range(len(rows)):
+            others = rows[:i] + rows[i + 1:]
+            yield [[*col, x] for col, x in zip(zip(*others), rows[i])] + [[L] * len(rows)]
+
+
+def test_carried_cost_row_makes_the_re_summing_pivots(monkeypatch):
+    """On the 2,000 seeded systems and 60 hull tableaux, the simplex with
+    its carried cost row gives the verdict of the Fraction simplex that
+    re-sums the artificial rows at every pivot (fraction_reference), makes
+    the same (r, c) pivots, and before each pivot its last row is that
+    re-summed cost times prev: the integer tableau is prev times the
+    Fraction one."""
+    steps = []
+    pivot = ratcore._jordan_pivot
+
+    def spy(rows, r, c, prev):
+        steps.append((r, c, prev, list(rows[-1])))
+        return pivot(rows, r, c, prev)
+
+    monkeypatch.setattr(ratcore, "_jordan_pivot", spy)
+    verdicts = set()
+    for system in itertools.chain(seeded_systems(), hull_systems()):
+        steps.clear()
+        expected, reference = phase_one_pivots(system)
+        assert nonneg_solution_exists(system) is expected, system
+        assert [(r, c) for r, c, _, _ in steps] == [(r, c) for r, c, _ in reference], system
+        for (_, _, prev, carried), (_, _, cost) in zip(steps, reference):
+            assert carried == [prev * x for x in cost], system
+        verdicts.add((expected, len(steps) > 1))
+    assert verdicts == {(v, many) for v in (True, False) for many in (True, False)}
 
 
 @pytest.mark.parametrize("system", [[], [[1, 2], [3]], [[1], [2, 3]], [[], []]])

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 PROVER = "tests/test_prover.py::"
 EQUILIBRIA = "tests/test_equilibria.py::"
+RATCORE = "tests/test_ratcore.py::"
 TABLES = "tests/test_tables.py::"
 
 MUTANTS = (
@@ -70,9 +71,13 @@ MUTANTS = (
            equivalent="past a second negative pivot the sweep ends in non_pd, or in None where "
                       "the dense path finds non_pd"),
     Mutant("ratcore.py", "cost[c] > 0", "cost[c] >= 0",
-           ("tests/test_ratcore.py::test_nonneg_solution_exists_matches_the_subset_oracle",)),
+           (RATCORE + "test_nonneg_solution_exists_matches_the_subset_oracle",)),
+    Mutant("ratcore.py", "while cost[-1]:", "while cost[0]:",
+           (RATCORE + "test_nonneg_combination_target_equal_to_a_column",)),
+    Mutant("ratcore.py", "basis[i] < basis[r]", "basis[i] > basis[r]",
+           (RATCORE + "test_nonneg_combination_ratio_ties_go_to_the_lowest_basis_index",)),
     Mutant("ratcore.py", "a * row_r[e]) // prev", "a * row_r[e]) * prev",
-           ("tests/test_ratcore.py::test_jordan_pivot_returns_the_leading_minors",)),
+           (RATCORE + "test_jordan_pivot_returns_the_leading_minors",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x > max(col)",
            (EQUILIBRIA + "test_hull_vertex_witness_skips_the_simplex",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x >= max(col) or x <= min(col)",
