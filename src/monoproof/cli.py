@@ -2,11 +2,12 @@
 equilibria, enumerate systems, and check hull extremality.
 
 Exit codes: 0 success/proven, 1 verification mismatch or exhausted proof,
-2 usage or input error.  Every report is accompanied by a run manifest
+2 usage or input error.  `verify` and `prove` each emit a run manifest
 (command, arguments, seed, dataset checksums, artifact version, and for
 `prove` the wall-clock seconds): `verify` prints it as its final stdout line,
-`prove --out FILE` writes it next to the report as FILE.manifest.json so the
-report body itself stays byte-stable.
+`prove --out FILE` writes it next to the report as FILE.manifest.json, and
+`prove` without --out prints it on stderr, so the report body itself stays
+byte-stable.  `count`, `systems` and `check-hull` emit none.
 """
 
 from __future__ import annotations

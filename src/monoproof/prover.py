@@ -71,7 +71,9 @@ MAX_PROOF_VERTICES = 10
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Randomized-search knobs: coefficient range, trial budget, base seed."""
+    """Randomized-search knobs: coefficient range, trial budget, base seed.
+    Each is an int; a bool or any other type is refused with TypeError at
+    construction, before _draws, range or the seed arithmetic can meet it."""
 
     coeff_min: int = 1
     coeff_max: int = 101
@@ -79,6 +81,9 @@ class SearchConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.coeff_min <= self.coeff_max:
             raise ValueError("need 1 <= coeff_min <= coeff_max")
         if self.max_trials < 1:
@@ -311,7 +316,7 @@ class ProofReport:
 
     @property
     def all_certified(self) -> bool:
-        return all(isinstance(r, Certificate) for r in self.systems)
+        return self.certified_count == len(self.systems)
 
     @property
     def verdict(self) -> str:
@@ -324,17 +329,14 @@ class ProofReport:
     def to_json(self) -> dict:
         rows = []
         for result in self.systems:
-            row = {
-                "system_id": result.system.system_id,
-                "j": list(result.system.j),
-                "status": "certified" if isinstance(result, Certificate) else "exhausted",
-                "coeffs": list(result.coeffs) if isinstance(result, Certificate) else None,
-                "min_value": str(result.min_value) if isinstance(result, Certificate) else None,
-                "trials": result.trials,
-            }
-            if isinstance(result, Exhausted):
-                row["negative_minima_seen"] = result.negative_minima_seen
-                row["non_pd_seen"] = result.non_pd_seen
+            row = {"system_id": result.system.system_id, "j": list(result.system.j)}
+            if isinstance(result, Certificate):
+                row.update(status="certified", coeffs=list(result.coeffs),
+                           min_value=str(result.min_value), trials=result.trials)
+            else:
+                row.update(status="exhausted", coeffs=None, min_value=None, trials=result.trials,
+                           negative_minima_seen=result.negative_minima_seen,
+                           non_pd_seen=result.non_pd_seen)
             rows.append(row)
         return {
             "V": self.V,

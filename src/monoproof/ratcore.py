@@ -24,14 +24,11 @@ in length, and solve_linear and the simplex copy their rows first.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Rational = Union[Fraction, int]
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # ASCII digits only, unlike \d
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -61,15 +58,15 @@ def parse_integer(text: str) -> int:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format "p/q" (or "p" when q=1), minus sign on p only,
-    in ASCII digits."""
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"malformed rational {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    in ASCII digits: p and q are each read by parse_integer, and q must
+    carry no sign and be nonzero."""
+    p, slash, q = text.partition("/")
+    if q[:1] == "-":
+        raise ValueError(f"minus sign on the denominator of {text!r}")
+    den = parse_integer(q) if slash else 1
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(parse_integer(p), den)
 
 
 class SingularError(ValueError):
@@ -80,13 +77,22 @@ class SingularError(ValueError):
         self.pivot_index = pivot_index
 
 
-def clear_denominators(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+def _ratio(e: Rational) -> tuple[int, int]:
+    """e.as_integer_ratio() for an int (a bool included) or a Fraction, and
+    TypeError for anything else: a float or a Decimal has an exact ratio
+    too, but the exact solvers take int and Fraction entries only."""
+    if isinstance(e, (int, Fraction)):
+        return e.as_integer_ratio()
+    raise TypeError(f"expected an int or a Fraction entry, got {e!r}")
+
+
+def clear_denominators(rows: Iterable[Sequence[Rational]]) -> tuple[list[list[int]], int]:
     """(R, L) for rows of int or Fraction entries: L is the lcm of every
     entry's denominator and R = L * rows, an integer matrix.  Scaling the
     whole matrix by one L > 0 keeps every sign and zero, the solution set of
     a linear system and definiteness.  Each entry is read once, as its
-    as_integer_ratio()."""
-    ratios = [[e.as_integer_ratio() for e in row] for row in rows]
+    as_integer_ratio(); any other entry raises TypeError that names it."""
+    ratios = [[_ratio(e) for e in row] for row in rows]
     L = math.lcm(*{q for row in ratios for _, q in row})
     return [[p * (L // q) for p, q in row] for row in ratios], L
 

@@ -211,7 +211,7 @@ def test_shadow_matrices_match_the_definition():
     points (the benchmark's sets have 12), with coordinates p/q, |p| <= 3,
     q <= 3, so that degenerate (zero) entries occur and the denominators
     differ between points.  About half the sets gain one to three copies of
-    drawn points (up to 17 in all), so the kernel's mirrored Gram entries
+    drawn points (up to 17 in all), so the kernel's Gram entries
     meet ties and zero signs."""
     rng = random.Random(6)
     zeros = signs = repeats = 0

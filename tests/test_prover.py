@@ -177,6 +177,15 @@ def test_search_config_validation():
         SearchConfig(max_trials=0)
 
 
+@pytest.mark.parametrize("field", ["coeff_min", "coeff_max", "max_trials", "base_seed"])
+@pytest.mark.parametrize("value", [101.0, 2.5, True], ids=["integral-float", "float", "bool"])
+def test_search_config_refuses_a_non_int(field, value):
+    """A float would fail only later, in _draws, range or the seed mask, or
+    seed a stream with a float; a bool is an int, but no knob means one."""
+    with pytest.raises(TypeError, match=f"{field} must be an int, got {value!r}"):
+        SearchConfig(**{field: value})
+
+
 def test_search_finds_certificates_on_all_v4_systems():
     for system in enumerate_systems(4):
         result = search_certificate(system, SearchConfig(max_trials=10_000, base_seed=7))

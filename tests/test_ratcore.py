@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -32,10 +34,15 @@ def test_parse_rational_basic():
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational("-6/4") == Fraction(-3, 2)
     assert parse_rational("0") == 0
+    assert parse_rational("-0") == 0
+    assert parse_rational("0/7") == 0
+    assert parse_rational("-12/8") == Fraction(-3, 2)
+    assert parse_rational("007/0010") == Fraction(7, 10)
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "1.5", "3 / 4", "+5", "1/-2", "a", "1e3",
-                                 "\u0663/\u0664"])
+                                 "\u0663/\u0664", "1/2/3", "1/", "/2", "-", "1/+2", "--1",
+                                 pytest.param("7" * 5000 + "/3", id="5000-digit-numerator")])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -95,6 +102,26 @@ def test_clear_denominators_scales_by_one_lcm():
                for e, x in zip(row, out))
     assert clear_denominators([[2, -3], [0, 1]]) == ([[2, -3], [0, 1]], 1)
     assert clear_denominators([]) == ([], 1)
+
+
+@pytest.mark.parametrize("entry", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
+def test_exact_solvers_refuse_inexact_entries(entry):
+    """Only int and Fraction entries reach the integer core: a float or a
+    Decimal has an exact ratio, but it is refused with TypeError naming it."""
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        solve_linear([[entry]], [1])
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        solve_linear([[1]], [entry])
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        is_positive_definite([[entry]])
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        clear_denominators([[1, Fraction(1, 3)], [entry, 2]])
+
+
+def test_exact_solvers_take_a_bool_as_an_int():
+    assert solve_linear([[True, 0], [0, 2]], [1, False]) == (1, 0)
+    assert is_positive_definite([[True]])
+    assert not is_positive_definite([[False]])
 
 
 def test_solve_linear_hand_checked():

@@ -67,9 +67,14 @@ MUTANTS = (
     Mutant("prover.py", "pool.map(_search_task, tasks,",
            "pool.map(search_certificate, *zip(*tasks),",
            (PROVER + "test_prove_through_the_real_pool_on_any_core_count",)),
+    Mutant("prover.py", "isinstance(value, bool) or not isinstance(value, int)",
+           "not isinstance(value, int)",
+           (PROVER + "test_search_config_refuses_a_non_int",)),
     Mutant("prover.py", "negatives == 2", "negatives == 3",
            equivalent="past a second negative pivot the sweep ends in non_pd, or in None where "
                       "the dense path finds non_pd"),
+    Mutant("ratcore.py", 'if q[:1] == "-":', "if False:",
+           (RATCORE + "test_parse_rational_rejects",)),
     Mutant("ratcore.py", "cost[c] > 0", "cost[c] >= 0",
            (RATCORE + "test_nonneg_solution_exists_matches_the_subset_oracle",)),
     Mutant("ratcore.py", "while cost[-1]:", "while cost[0]:",
@@ -78,6 +83,8 @@ MUTANTS = (
            (RATCORE + "test_nonneg_combination_ratio_ties_go_to_the_lowest_basis_index",)),
     Mutant("ratcore.py", "a * row_r[e]) // prev", "a * row_r[e]) * prev",
            (RATCORE + "test_jordan_pivot_returns_the_leading_minors",)),
+    Mutant("equilibria.py", "(g[a] > x)", "(g[a] >= x)",
+           (EQUILIBRIA + "test_shadow_matrices_match_the_definition",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x > max(col)",
            (EQUILIBRIA + "test_hull_vertex_witness_skips_the_simplex",)),
     Mutant("equilibria.py", "x > max(col) or x < min(col)", "x >= max(col) or x <= min(col)",
