@@ -27,7 +27,7 @@ inequalities Q_i <= 0 cannot all hold and the system has no solution in any
 dimension.  The 3-dimensional frame of the paper adds nothing to this
 test, so everything here lives on one axis.  prover.verify_certificate
 checks certificates on G(c); the search decides its trials on the tree
-i -> j(i) without building G(c), except at a zero pivot (see prover).
+i -> j(i) without building G(c) (see prover).
 
 G(c) is the only representation of a form: inequality_forms gives the G of
 each Q_i on its own, and G(c) is their sum weighted by c.  Over the V-2 free

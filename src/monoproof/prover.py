@@ -29,10 +29,9 @@ the leaves of the system's tree (_tree_trial).  Both witnesses give one
 verdict shape, a TrialOutcome: "non_pd" for a Hessian that is not positive
 definite, "negative" for a nonpositive minimum, or, for a certificate, the
 triple (min_value, minimizer_num, minimizer_den), which
-VerifyResult.outcome gives for G(c).  Only a draw where the sweep meets a
-zero pivot or a zero border corner beta, a fraction of a percent of draws,
-is decided by verify_certificate, and prove_unsolvable re-checks each
-certificate by comparing the two triples.
+VerifyResult.outcome gives for G(c).  The sweep decides every draw, a zero
+pivot included, so the search never builds G(c), and prove_unsolvable
+re-checks each certificate on G(c) by comparing the two triples.
 
 The randomized search draws coefficient tuples uniformly from
 [coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister),
@@ -194,7 +193,7 @@ def verify_certificate(V: int, system: ShadowSystem, coeffs: Sequence[int]) -> V
     return VerifyResult(True, Fraction(d_last, 2 * D), d_last > 0, *_lowest_terms(X, D))
 
 
-def _tree_trial(j: Sequence[int], coeffs: Sequence[int]) -> Optional[TrialOutcome]:
+def _tree_trial(j: Sequence[int], coeffs: Sequence[int]) -> TrialOutcome:
     """Decide one trial along the system's tree in O(V) integer steps.
 
     With t_1 = 0, 2 g_c restricted to {sum t = 0} is positive definite
@@ -204,50 +203,82 @@ def _tree_trial(j: Sequence[int], coeffs: Sequence[int]) -> Optional[TrialOutcom
     j(i) < i, eliminating t_V, ..., t_2 removes a leaf each time, with no
     fill-in (Parter, SIAM Rev. 3, 1961): vertex i only updates its parent's
     diagonal num/den and border entry bn/den, and passes up the border
-    corner's share sn/den of its subtree.  Two negative pivots already decide
+    corner's share sn/den of its subtree; den is the determinant of the
+    eliminated part of the subtree.  Two negative pivots already decide
     "non_pd", as the eliminated block is a principal submatrix.  t_1 goes
     last, and its Schur complement is 2 g_c at t_1 = 1 minimized.  Back
-    substitution along the tree then gives U = beta * x, integral by
-    Cramer's rule, since beta is the determinant of the bordered matrix.
+    substitution along the tree then gives U = scale * x, integral by
+    Cramer's rule, since scale is the determinant of the bordered matrix up
+    to sign: beta, or C1 Bz^2 / Cz where a zero pairs with the border.
 
-    Returns None at a zero pivot or a zero border corner beta (a singular
-    bordered matrix), where the dense path decides; otherwise the verdict
-    that verify_certificate(...).outcome gives: "non_pd", "negative", or,
-    for a certificate, (min_value, num, den), the exact minimum as a
-    Fraction and the minimizer's numerators over one positive denominator
-    in lowest terms.
+    A zero pivot at vertex z counts as the negative eigenvalue, so a second
+    one, or one beside a negative pivot, is "non_pd" at once.  z waits for
+    its parent p, which comes up after its other children, and the two go
+    out as the block [[0, -c_z], [-c_z, d_p]] (the zero-child step of Jacobs
+    and Trevisan, Linear Algebra Appl. 434, 2011; a Bunch-Kaufman pivot,
+    Math. Comp. 31, 1977).  Its determinant -c_z^2 gives one negative and
+    one positive eigenvalue, and its inverse has a zero (p, p) entry, so p's
+    parent keeps its diagonal, and only its border entry and the corner
+    change.  Such a draw is never a certificate, so back substitution never
+    meets the block: a null vector v of M on z's subtree gives g_c = 0 at
+    t = (-sum v, v), so the form is not positive definite if sum v = 0, and
+    otherwise its minimum at t_1 = 1 is at most 0.  Where p is vertex 1, z
+    pairs with the border instead: vertex 1's Schur complement through
+    [[0, b_z], [b_z, corner]] gives the minimum, and the constraint's
+    multiplier c_z / b_z gives the minimizer.  With every pivot nonzero, a
+    zero border corner beta makes the bordered matrix singular.
+
+    Returns the verdict that verify_certificate(...).outcome gives:
+    "non_pd", "negative", or, for a certificate, (min_value, num, den), the
+    exact minimum as a Fraction and the minimizer's numerators over one
+    positive denominator in lowest terms.
     """
     V = len(coeffs) + 1
     num = [0, 0, *(2 * c for c in coeffs)]  # indexed by vertex, 1..V
     den, bn, sn = [1] * (V + 1), [1] * (V + 1), [0] * (V + 1)
-    negatives = 0
+    negatives = zero = paired = 0  # a zero pivot's vertex and its parent
     for i in range(V, 1, -1):
         P, C, B = num[i], den[i], bn[i]
-        if not P:
-            return None
-        if (P > 0) != (C > 0):
-            negatives += 1
-            if negatives == 2:
-                return "non_pd"
+        if i == paired:  # zero and i go out as one block; P: det of i's subtree
+            S = P * (Bz * Bz // Cz) + 2 * e * Bz * B - e * e * (C * sn[zero] + Cz * sn[i])
+            P, B, C = -e * e * Cz * C, e * Bz * C, 0
+        else:
+            if not P or (P > 0) != (C > 0):
+                negatives += 1
+                if negatives == 2:
+                    return "non_pd"
+                if not P:
+                    zero, paired = i, j[i - 2]
+                    e, Cz, Bz = coeffs[i - 2], C, B
+                    continue
+            S = (B * B + P * sn[i]) // C
         p, c = j[i - 2], coeffs[i - 2]
         Dp = den[p]
-        S = (B * B + P * sn[i]) // C
         num[p] = num[p] * P - c * c * C * Dp
         bn[p] = bn[p] * P + c * B * Dp
         sn[p] = sn[p] * P + S * Dp
         den[p] = Dp * P
     beta, P1, B1, C1 = -sn[1], num[1], bn[1], den[1]
-    if not beta:
-        return None
-    if negatives + ((beta > 0) != (C1 > 0)) != 1:
-        return "non_pd"
-    top, bottom = P1 * beta - B1 * B1, 2 * C1 * beta
+    if paired == 1:  # K / (C1 Cz) is the corner, zero's subtree share included
+        if not Bz or negatives != 1:
+            return "non_pd"
+        K = beta * Cz - sn[zero] * C1
+        top, bottom = P1 * Bz * Bz + e * Cz * (e * K + 2 * B1 * Bz), 2 * C1 * Bz * Bz
+        scale, X = C1 * (Bz * Bz // Cz), -C1 * e * Bz
+    else:
+        if not beta or negatives + ((beta > 0) != (C1 > 0)) != 1:
+            return "non_pd"
+        top, bottom = P1 * beta - B1 * B1, 2 * C1 * beta
+        scale, X = beta, B1
     if top == 0 or (top > 0) != (bottom > 0):
         return "negative"
-    U = [0, beta, *[0] * (V - 2)]
+    U = [0, scale, *[0] * (V - 2)]
     for k in range(2, V):
-        U[k] = (coeffs[k - 2] * den[k] * U[j[k - 2]] + bn[k] * B1) // num[k]
-    return (Fraction(top, bottom), *_lowest_terms(U[2:V], beta))
+        if k == zero:
+            U[k] = -(B1 * Bz + e * K)
+        else:
+            U[k] = (coeffs[k - 2] * den[k] * U[j[k - 2]] + bn[k] * X) // num[k]
+    return (Fraction(top, bottom), *_lowest_terms(U[2:V], scale))
 
 
 def _draws(rng: random.Random, cfg: SearchConfig, size: int) -> Iterator[tuple[int, ...]]:
@@ -274,17 +305,14 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
     """Randomized certificate search for one system.
 
     Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] (_draws)
-    and decide it with _tree_trial, or with verify_certificate where the
-    sweep meets a zero pivot or a zero border corner beta.  A Hessian that
-    is not positive definite counts as non-PD, a nonpositive minimum as
-    negative.  Returns the first Certificate found, or Exhausted
+    and decide it with _tree_trial.  A Hessian that is not positive
+    definite counts as non-PD, a nonpositive minimum as negative.  Returns the first Certificate found, or Exhausted
     with per-failure-kind counters after max_trials draws.
     """
     negative, non_pd = 0, 0
     draws = _draws(random.Random(cfg.base_seed), cfg, system.V - 1)
     for trial, coeffs in zip(range(1, cfg.max_trials + 1), draws):
-        outcome = (_tree_trial(system.j, coeffs)
-                   or verify_certificate(system.V, system, coeffs).outcome)
+        outcome = _tree_trial(system.j, coeffs)
         if outcome == "non_pd":
             non_pd += 1
         elif outcome == "negative":

@@ -756,11 +756,34 @@ def dense_search(system, cfg):
     return Exhausted(system, cfg.max_trials, negative, non_pd)
 
 
+def met_a_zero(j, coeffs):
+    """Whether the sweep, as it stood before it settled zero pivots, handed
+    the draw to the dense path: it met a zero pivot before a second negative
+    one, or ended at a zero border corner beta.  The elimination is the
+    sweep's own, without its 2 x 2 block."""
+    V = len(coeffs) + 1
+    num = [0, 0, *(2 * c for c in coeffs)]
+    den, bn, sn = [1] * (V + 1), [1] * (V + 1), [0] * (V + 1)
+    negatives = 0
+    for i in range(V, 1, -1):
+        P, C, B = num[i], den[i], bn[i]
+        if not P:
+            return True
+        negatives += (P > 0) != (C > 0)
+        if negatives == 2:
+            return False
+        p, c = j[i - 2], coeffs[i - 2]
+        Dp = den[p]
+        num[p], den[p] = num[p] * P - c * c * C * Dp, Dp * P
+        bn[p] = bn[p] * P + c * B * Dp
+        sn[p] = sn[p] * P + (B * B + P * sn[i]) // C * Dp
+    return not sn[1]
+
+
 def test_tree_sweep_agrees_with_the_dense_path():
     """The sweep's class, and on accepted draws its exact minimum and
     minimizer, equal the dense path's on seeded draws at V = 4..10.  Small
-    coefficient spans make certificates and zero pivots common enough to
-    reach at every V."""
+    coefficient spans make certificates common enough to reach at every V."""
     rng = random.Random(73)
     outcomes = Counter()
     for V in range(4, 11):
@@ -769,9 +792,6 @@ def test_tree_sweep_agrees_with_the_dense_path():
             top = rng.choice((5, 101, 3000))
             coeffs = tuple(rng.randint(1, top) for _ in range(V - 1))
             got = prover._tree_trial(system.j, coeffs)
-            if got is None:
-                outcomes["zero pivot"] += 1
-                continue
             assert got == dense_decision(system, coeffs), (system.j, coeffs)
             assert got == verify_certificate(V, system, coeffs).outcome, (system.j, coeffs)
             outcomes[got if isinstance(got, str) else "certified"] += 1
@@ -805,12 +825,12 @@ def test_a_zero_minimum_is_negative_on_both_paths(coeffs):
 
 
 @pytest.mark.parametrize("j", [(1, 1, 1, 1, 2), (1, 1, 1, 1, 3)])
-def test_a_zero_border_corner_falls_back_to_the_dense_path(j):
+def test_the_sweep_decides_a_zero_border_corner(j):
     """V = 6, c = (1, 1, 1, 8, 8): with t_1 = 0, every trailing principal
     minor of M, the matrix of 2 g_c over t_2..t_6, is nonzero, so the sweep
     meets no zero pivot; but the bordered matrix [[M, 1], [1^T, 0]] is
-    singular, so the border corner beta is 0.  The sweep hands the draw to
-    G(c), whose Hessian is not positive definite."""
+    singular, so the border corner beta is 0.  The sweep calls the draw
+    non_pd at once, as G(c) does."""
     system, coeffs = ShadowSystem(6, j), (1, 1, 1, 8, 8)
     M = [[0] * 5 for _ in range(5)]  # rows and columns t_2..t_6
     for i, (c, parent) in enumerate(zip(coeffs, j)):
@@ -819,40 +839,82 @@ def test_a_zero_border_corner_falls_back_to_the_dense_path(j):
             M[i][parent - 2] = M[parent - 2][i] = -c
     assert all(reference_det([row[k:] for row in M[k:]]) for k in range(5))
     assert reference_det([row + [1] for row in M] + [[1] * 5 + [0]]) == 0
-    assert prover._tree_trial(system.j, coeffs) is None
+    assert met_a_zero(system.j, coeffs)
+    assert prover._tree_trial(system.j, coeffs) == dense_decision(system, coeffs) == "non_pd"
     assert verify_certificate(6, system, coeffs).outcome == "non_pd"
 
 
-def test_a_zero_pivot_falls_back_to_the_dense_path(monkeypatch):
+def test_the_sweep_decides_a_zero_pivot(monkeypatch):
     """On the chain j = (1, 2, 3) with c = (1, 1, 4), c_4 = 4 c_3 makes
-    vertex 3's pivot 2 c_3 - c_4^2 / (2 c_4) zero: the sweep hands the draw
-    to verify_certificate, and the search gets the dense answer, as it does
-    where every draw meets a zero pivot.  Searches over a narrow range meet
-    such draws and still match a dense search exactly."""
+    vertex 3's pivot 2 c_3 - c_4^2 / (2 c_4) zero, and the sweep decides the
+    draw as G(c) does.  The search never calls verify_certificate, even
+    where every draw meets a zero pivot, and searches over a narrow range,
+    which meet such draws, match a dense search exactly."""
     chain = ShadowSystem(4, (1, 2, 3))
-    assert prover._tree_trial(chain.j, (1, 1, 4)) is None
-    fallback = prover.verify_certificate
-    calls = []
+    assert met_a_zero(chain.j, (1, 1, 4))
+    assert prover._tree_trial(chain.j, (1, 1, 4)) == dense_decision(chain, (1, 1, 4))
+    calls, drawn = [], []
+    sweep = prover._tree_trial
 
-    def counting(V, system, coeffs):
-        calls.append(coeffs)
-        return fallback(V, system, coeffs)
+    def recording(j, coeffs):
+        drawn.append((j, coeffs))
+        return sweep(j, coeffs)
 
-    monkeypatch.setattr(prover, "verify_certificate", counting)
+    monkeypatch.setattr(prover, "verify_certificate", lambda *args: calls.append(args))
+    monkeypatch.setattr(prover, "_tree_trial", recording)
     # vertex 2's four leaves cancel its pivot 2 c_2 - 4 c^2 / (2 c) at c = 1
     forced = ShadowSystem(6, (1, 2, 2, 2, 2))
     cfg = SearchConfig(coeff_min=1, coeff_max=1, max_trials=2)
     assert search_certificate(forced, cfg) == dense_search(forced, cfg)
-    assert calls and set(calls) == {(1,) * 5}
-    calls.clear()
+    assert drawn and all(met_a_zero(j, coeffs) for j, coeffs in drawn)
+    drawn.clear()
     systems = (chain, ShadowSystem(5, (1, 1, 2, 3)), ShadowSystem(6, (1, 2, 2, 3, 1)))
     for system in systems:
         for seed in range(40):
             cfg = SearchConfig(coeff_min=1, coeff_max=4, max_trials=30, base_seed=seed)
             assert search_certificate(system, cfg) == dense_search(system, cfg)
-    assert len(calls) >= 10
-    by_length = {system.V - 1: system for system in systems}
-    assert all(prover._tree_trial(by_length[len(c)].j, c) is None for c in calls)
+    assert sum(met_a_zero(j, coeffs) for j, coeffs in drawn) >= 10
+    assert calls == []
+
+
+@pytest.mark.parametrize("V", range(4, 10))
+def test_the_sweep_equals_the_dense_path_on_small_coefficients(V):
+    """3,400 seeded draws at each V = 4..9 (20,400 in all) with c in 1..4,
+    where about one in ten meets a zero pivot: the sweep's verdict, and a
+    certificate's exact minimum and minimizer, equal dense_decision's field
+    for field.  Certificates and negative minima both occur among the draws
+    that meet a zero pivot."""
+    rng = random.Random(V)
+    zeros = Counter()
+    for _ in range(3400):
+        system = ShadowSystem.from_choices(V, [rng.randint(1, i - 1) for i in range(3, V + 1)])
+        coeffs = tuple(rng.randint(1, 4) for _ in range(V - 1))
+        got = prover._tree_trial(system.j, coeffs)
+        assert got == dense_decision(system, coeffs), (system.j, coeffs)
+        if met_a_zero(system.j, coeffs):
+            zeros[got if isinstance(got, str) else "certified"] += 1
+    assert sum(zeros.values()) > 200 and zeros["certified"] and zeros["negative"], zeros
+
+
+def test_the_sweep_decides_the_v8_search_draws_that_met_a_zero():
+    """The default V = 8 search at seed 0, replayed draw by draw: of its
+    205,315 draws, the 754 that the sweep once handed to the dense path
+    (met_a_zero) are decided by the sweep as dense_decision decides them,
+    field for field, and 7 of them are certificates."""
+    cfg = SearchConfig()
+    zeros, trials = [], 0
+    for system in enumerate_systems(8):
+        for coeffs in prover._draws(random.Random(system.system_id), cfg, 7):
+            trials += 1
+            got = prover._tree_trial(system.j, coeffs)
+            if met_a_zero(system.j, coeffs):
+                zeros.append((system, coeffs, got))
+            if not isinstance(got, str):
+                break
+    assert (trials, len(zeros)) == (205_315, 754)
+    assert sum(not isinstance(got, str) for *_, got in zeros) == 7
+    for system, coeffs, got in zeros:
+        assert got == dense_decision(system, coeffs), (system.j, coeffs)
 
 
 def test_search_counters_match_a_dense_search():

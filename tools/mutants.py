@@ -52,8 +52,13 @@ MUTANTS = (
            (PROVER + "test_a_zero_minimum_is_negative_on_both_paths",)),
     Mutant("prover.py", "d_last > 0", "d_last >= 0",
            (PROVER + "test_a_zero_minimum_is_negative_on_both_paths",)),
-    Mutant("prover.py", "if not beta:", "if False:",
-           (PROVER + "test_a_zero_border_corner_falls_back_to_the_dense_path",)),
+    Mutant("prover.py", "if not beta or ", "if ",
+           (PROVER + "test_the_sweep_decides_a_zero_border_corner[j0]",)),
+    Mutant("prover.py", "P, B, C = -e * e * Cz * C, e * Bz * C, 0",
+           "P, B, C = -e * e * Cz * C, -e * Bz * C, 0",
+           (PROVER + "test_the_sweep_equals_the_dense_path_on_small_coefficients[5]",)),
+    Mutant("prover.py", "K = beta * Cz - sn[zero] * C1", "K = beta * Cz",
+           (PROVER + "test_the_sweep_equals_the_dense_path_on_small_coefficients[4]",)),
     Mutant("prover.py", "2 * value != D * d_last", "2 * value < D * d_last",
            (PROVER + "test_audit_rejects_the_value_moved_either_way_or_the_minimizer_moved",)),
     Mutant("prover.py", "grad[2:V] != [grad[V]] * (V - 2)", "grad[2:V - 1] != [grad[V]] * (V - 3)",
@@ -71,8 +76,11 @@ MUTANTS = (
            "not isinstance(value, int)",
            (PROVER + "test_search_config_refuses_a_non_int",)),
     Mutant("prover.py", "negatives == 2", "negatives == 3",
-           equivalent="past a second negative pivot the sweep ends in non_pd, or in None where "
-                      "the dense path finds non_pd"),
+           equivalent="past a second negative or zero pivot the final inertia test finds more "
+                      "than one negative and returns non_pd"),
+    Mutant("prover.py", "if negatives == 2:", "if False:",
+           equivalent="the final inertia test returns non_pd on two or more negatives; a second "
+                      "zero only overwrites the pending block of a draw already bound for it"),
     Mutant("ratcore.py", 'if q[:1] == "-":', "if False:",
            (RATCORE + "test_parse_rational_rejects",)),
     Mutant("ratcore.py", "cost[c] > 0", "cost[c] >= 0",

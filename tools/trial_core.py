@@ -17,11 +17,9 @@ random.Random(V): with ``prover._draws``, as the search does, and with
 It prints the microseconds per trial of each ("sweep", "verify", "draw"
 and "randint"; the fastest of five passes over the draws), the number of
 stream mismatches ("off-stream": trials whose ``_draws`` tuple differs
-from the randint one), the number of fallbacks (the draws where the sweep
-meets a zero pivot or a zero border corner beta, which the search hands to
-the dense path), and the number of mismatches: draws where the sweep's
-verdict, its class or a certificate's exact minimum and minimizer, differs
-from ``VerifyResult.outcome``, which the search falls back on there.
+from the randint one), and the number of mismatches: draws where the
+sweep's verdict, its class or a certificate's exact minimum and
+minimizer, differs from ``VerifyResult.outcome``.
 
     python3 tools/trial_core.py [--draws N]
 
@@ -80,8 +78,8 @@ def measure_draws(V: int, count: int, seed: int) -> tuple[float, float, int]:
     return direct_s * 1e6 / count, randint_s * 1e6 / count, mismatches
 
 
-def measure(cases: list) -> tuple[float, float, int, int]:
-    """(sweep us, verify us, fallbacks, mismatches) over ``cases``.
+def measure(cases: list) -> tuple[float, float, int]:
+    """(sweep us, verify us, mismatches) over ``cases``.
 
     Each time is the fastest of REPEATS alternating passes, as the host's
     cores change speed from one pass to the next, and runs with the garbage
@@ -101,11 +99,9 @@ def measure(cases: list) -> tuple[float, float, int, int]:
             verify_s = min(verify_s, time.perf_counter() - started)
     finally:
         gc.enable()
-    fallbacks = swept.count(None)
-    mismatches = sum(got is not None and got != check.outcome
-                     for got, check in zip(swept, checked))
+    mismatches = sum(got != check.outcome for got, check in zip(swept, checked))
     per_trial = 1e6 / len(cases)
-    return sweep_s * per_trial, verify_s * per_trial, fallbacks, mismatches
+    return sweep_s * per_trial, verify_s * per_trial, mismatches
 
 
 def main(argv=None) -> int:
@@ -118,11 +114,11 @@ def main(argv=None) -> int:
     total = 0
     for V in VERTEX_COUNTS:
         draw_us, randint_us, stream = measure_draws(V, ns.draws, V)
-        sweep_us, verify_us, fallbacks, mismatches = measure(draws(V, ns.draws, rng))
+        sweep_us, verify_us, mismatches = measure(draws(V, ns.draws, rng))
         total += stream + mismatches
         print(f"V={V:<3} {ns.draws} draws  sweep {sweep_us:6.1f} us  verify {verify_us:6.1f} us"
               f"  draw {draw_us:5.2f} us  randint {randint_us:5.2f} us"
-              f"  off-stream {stream}  fallbacks {fallbacks}  mismatches {mismatches}")
+              f"  off-stream {stream}  mismatches {mismatches}")
     return 1 if total else 0
 
 
