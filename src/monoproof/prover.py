@@ -33,9 +33,12 @@ VerifyResult.outcome gives for G(c).  The sweep decides every draw, a zero
 pivot included, so the search never builds G(c), and prove_unsolvable
 re-checks each certificate on G(c) by comparing the two triples.
 
-The randomized search draws coefficient tuples uniformly from
-[coeff_min, coeff_max] using ``random.Random`` (CPython's Mersenne Twister),
-by the rejection sampling on getrandbits that randint runs, without its
+The search takes coefficient tuples from the box [coeff_min, coeff_max]^(V-1)
+and stops at the first certificate.  A box of at most max_trials points is
+searched once, point by point in itertools.product order, so an exhausted
+system has no certificate in it, whatever the seed.  A larger box is
+sampled uniformly with ``random.Random`` (CPython's Mersenne Twister), by
+the rejection sampling on getrandbits that randint runs, without its
 per-call argument checks (_draws); each system gets its own stream seeded
 with (base_seed + system_id) mod 2**64, so reports are reproducible for a
 fixed seed and independent of worker count.
@@ -49,6 +52,7 @@ which build at import about four times faster than frozen dataclasses.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -70,9 +74,12 @@ MAX_PROOF_VERTICES = 10
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Randomized-search knobs: coefficient range, trial budget, base seed.
-    Each is an int; a bool or any other type is refused with TypeError at
-    construction, before _draws, range or the seed arithmetic can meet it."""
+    """Search knobs: the coefficient range [coeff_min, coeff_max] of the
+    box, the trial budget, and the base seed of the streams that sample a
+    box larger than the budget (a smaller box is searched whole, with no
+    seed).  Each is an int; a bool or any other type is refused with
+    TypeError at construction, before _draws, range or the seed arithmetic
+    can meet it."""
 
     coeff_min: int = 1
     coeff_max: int = 101
@@ -114,12 +121,11 @@ class Certificate(NamedTuple):
 
 
 class Exhausted(NamedTuple):
-    """Search gave up on a system; counts how each trial kind failed."""
+    """No certificate among a system's trials: the whole box when trials
+    is its size, else max_trials sampled points of it."""
 
     system: ShadowSystem
     trials: int
-    negative_minima_seen: int
-    non_pd_seen: int
 
 
 SystemResult = Union[Certificate, Exhausted]
@@ -302,30 +308,26 @@ def _draws(rng: random.Random, cfg: SearchConfig, size: int) -> Iterator[tuple[i
 
 
 def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
-    """Randomized certificate search for one system.
+    """Certificate search for one system over the box of B = n^(V-1)
+    tuples c_2..c_V in [coeff_min, coeff_max], n = coeff_max - coeff_min + 1.
 
-    Per trial: draw c_2..c_V uniformly from [coeff_min, coeff_max] (_draws)
-    and decide it with _tree_trial.  A Hessian that is not positive
-    definite counts as non-PD, a nonpositive minimum as negative.  Returns the first Certificate found, or Exhausted
-    with per-failure-kind counters after max_trials draws.
+    With B <= max_trials each point of the box is tried once, in
+    itertools.product order; otherwise max_trials draws come from the
+    seeded stream (_draws).  _tree_trial decides each trial.  Returns the
+    first Certificate, or Exhausted after min(B, max_trials) trials.
     """
-    negative, non_pd = 0, 0
-    draws = _draws(random.Random(cfg.base_seed), cfg, system.V - 1)
+    size = system.V - 1
+    box = (cfg.coeff_max - cfg.coeff_min + 1) ** size
+    if box <= cfg.max_trials:
+        draws = itertools.product(range(cfg.coeff_min, cfg.coeff_max + 1), repeat=size)
+    else:
+        draws = _draws(random.Random(cfg.base_seed), cfg, size)
     for trial, coeffs in zip(range(1, cfg.max_trials + 1), draws):
         outcome = _tree_trial(system.j, coeffs)
-        if outcome == "non_pd":
-            non_pd += 1
-        elif outcome == "negative":
-            negative += 1
-        else:
+        if not isinstance(outcome, str):
             min_value, num, den = outcome
             return Certificate(system, coeffs, num, den, min_value, trial)
-    return Exhausted(
-        system=system,
-        trials=cfg.max_trials,
-        negative_minima_seen=negative,
-        non_pd_seen=non_pd,
-    )
+    return Exhausted(system, min(box, cfg.max_trials))
 
 
 @dataclass(frozen=True)
@@ -362,9 +364,7 @@ class ProofReport:
                 row.update(status="certified", coeffs=list(result.coeffs),
                            min_value=str(result.min_value), trials=result.trials)
             else:
-                row.update(status="exhausted", coeffs=None, min_value=None, trials=result.trials,
-                           negative_minima_seen=result.negative_minima_seen,
-                           non_pd_seen=result.non_pd_seen)
+                row.update(status="exhausted", coeffs=None, min_value=None, trials=result.trials)
             rows.append(row)
         return {
             "V": self.V,

@@ -240,8 +240,8 @@ def test_criterion_6_v8_chain_system_exhausts_search(announce):
     minima, cannot hold: the seed-fixed search certifies this system, so it
     is provably unsolvable.  The criterion pins that certificate byte for
     byte, re-verifies it, and evaluates sum_i c_i (|r_i|^2 - r_i.r_j(i))
-    directly on the reconstructed vertices at the minimizer.  The
-    ``Exhausted`` counters are covered by ``test_search_exhaustion_counters``
+    directly on the reconstructed vertices at the minimizer.  An
+    ``Exhausted`` result is covered by ``test_search_exhausts_its_budget``
     and the independent symbolic check by
     ``test_v8_chain_certificate_against_symbolic_oracle``.
     """

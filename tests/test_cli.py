@@ -196,6 +196,19 @@ def test_prove_exhausted_budget_exits_nonzero(tmp_path, capsys):
     assert any(row["status"] == "exhausted" for row in report["systems"])
 
 
+def test_prove_on_a_one_point_box_ends_at_once(tmp_path, capsys):
+    """A box smaller than the budget is searched point by point, so a
+    budget of 10^9 trials costs one trial per system."""
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "prove", "--vertices", "6", "--seed", "0", "--coeff-min", "1",
+        "--coeff-max", "1", "--max-trials", "1000000000", "--out", str(out_path),
+    )
+    assert code == 1
+    assert "104/120 systems certified; verdict: undetermined" in out
+    assert {row["trials"] for row in json.loads(out_path.read_text())["systems"]} == {1}
+
+
 def test_prove_jobs_do_not_change_the_report(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "prove", "--vertices", "4", "--seed", "9",

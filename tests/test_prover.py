@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -217,13 +218,45 @@ def test_search_degenerate_range_single_candidate():
     assert result.min_value == Fraction(4, 3)
 
 
-def test_search_exhaustion_counters():
+def test_search_exhausts_its_budget():
     system = ShadowSystem(4, (1, 2, 3))
     result = search_certificate(system, SearchConfig(max_trials=1, base_seed=5))
-    assert isinstance(result, Exhausted)
-    assert result.trials == 1
-    assert result.negative_minima_seen + result.non_pd_seen == 1
-    assert result.negative_minima_seen == 1  # frozen: this seed draws a PD miss
+    assert result == Exhausted(system, 1)
+
+
+def spy_on_trials(monkeypatch):
+    """Replace _tree_trial by a spy that answers "negative" and records
+    the coefficients it is handed, in order."""
+    drawn = []
+
+    def spy(j, coeffs):
+        drawn.append(coeffs)
+        return "negative"
+
+    monkeypatch.setattr(prover, "_tree_trial", spy)
+    return drawn
+
+
+@pytest.mark.parametrize("V,budget", [(6, 100_000), (5, 16)], ids=["below", "equal"])
+def test_a_small_box_is_searched_once_per_point(V, budget, monkeypatch):
+    """A box over {1, 2} of at most max_trials points, at V = 6 under the
+    default budget and at V = 5 equal to it: each of its 2^(V-1) points
+    once, in itertools.product order, at any seed."""
+    drawn = spy_on_trials(monkeypatch)
+    system = ShadowSystem(V, (1, 1, 2, 3, 4)[:V - 1])
+    for seed in (0, 7):
+        drawn.clear()
+        cfg = SearchConfig(coeff_min=1, coeff_max=2, max_trials=budget, base_seed=seed)
+        assert search_certificate(system, cfg) == Exhausted(system, 2 ** (V - 1))
+        assert drawn == list(itertools.product(range(1, 3), repeat=V - 1))
+
+
+def test_the_all_ones_box_at_v8_certifies_2337_systems():
+    """The one-point box decides each V = 8 system in one trial, each
+    exhausted row stating that the all-ones weighting is no certificate."""
+    report = prove_unsolvable(8, SearchConfig(coeff_min=1, coeff_max=1))
+    assert report.certified_count == 2337
+    assert {(type(r), r.trials) for r in report.systems} == {(Certificate, 1), (Exhausted, 1)}
 
 
 def test_v8_chain_certificate_against_symbolic_oracle():
@@ -554,9 +587,10 @@ def test_prove_report_lists_exhausted_systems():
     assert report.verdict == "undetermined"
     for row in doc["systems"]:
         if row["status"] == "exhausted":
+            assert set(row) == {"system_id", "j", "status", "coeffs", "min_value", "trials"}
             assert row["coeffs"] is None
             assert row["min_value"] is None
-            assert row["negative_minima_seen"] + row["non_pd_seen"] == row["trials"]
+            assert row["trials"] == 1
 
 
 def test_prove_parallel_matches_serial():
@@ -581,24 +615,23 @@ def test_per_system_seeds_are_independent_of_sibling_results():
 @pytest.mark.parametrize("low,high", [(1, 1), (1, 2), (1, 101), (1, 128), (1, 129),
                                       (7, 7 + 2**40)])
 def test_search_draws_the_randint_stream(low, high, monkeypatch):
-    """The coefficients the search hands to its trials are those of
-    rng.randint(coeff_min, coeff_max) on the same stream: for widths 1 and
-    2, the default 101, a power of two and one past it, and one wider than
-    a 32-bit word."""
-    drawn = []
-
-    def spy(j, coeffs):
-        drawn.append(coeffs)
-        return "negative"
-
-    monkeypatch.setattr(prover, "_tree_trial", spy)
+    """_draws gives the stream of rng.randint(coeff_min, coeff_max): for
+    widths 1 and 2, the default 101, a power of two and one past it, and
+    one wider than a 32-bit word.  The search hands that stream to its
+    trials wherever the box has more points than the budget of 40; the
+    boxes of widths 1 and 2 have 1 and 16, and are searched point by
+    point."""
+    drawn = spy_on_trials(monkeypatch)
     system = ShadowSystem(5, (1, 2, 2, 3))
     for seed in (0, 1, 2**64 - 1):
-        drawn.clear()
-        cfg = SearchConfig(coeff_min=low, coeff_max=high, max_trials=40, base_seed=seed)
-        assert search_certificate(system, cfg) == Exhausted(system, 40, 40, 0)
         rng = random.Random(seed)
-        assert drawn == [tuple(rng.randint(low, high) for _ in range(4)) for _ in range(40)]
+        expected = [tuple(rng.randint(low, high) for _ in range(4)) for _ in range(40)]
+        cfg = SearchConfig(coeff_min=low, coeff_max=high, max_trials=40, base_seed=seed)
+        assert list(itertools.islice(prover._draws(random.Random(seed), cfg, 4), 40)) == expected
+        if (high - low + 1) ** 4 > 40:
+            drawn.clear()
+            assert search_certificate(system, cfg) == Exhausted(system, 40)
+            assert drawn == expected
 
 
 @pytest.mark.parametrize("field", ["minimizer_num", "minimizer_den", "min_value"])
@@ -739,21 +772,23 @@ def dense_decision(system, coeffs):
 
 
 def dense_search(system, cfg):
-    """search_certificate with every trial decided by dense_decision."""
-    rng = random.Random(cfg.base_seed)
-    negative = non_pd = 0
-    for trial in range(1, cfg.max_trials + 1):
-        coeffs = tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(system.V - 1))
+    """search_certificate with every trial decided by dense_decision: the
+    points of a box no larger than the budget in product order, else
+    max_trials randint draws."""
+    values, size = range(cfg.coeff_min, cfg.coeff_max + 1), system.V - 1
+    if len(values) ** size <= cfg.max_trials:
+        draws = list(itertools.product(values, repeat=size))
+    else:
+        rng = random.Random(cfg.base_seed)
+        draws = [tuple(rng.randint(cfg.coeff_min, cfg.coeff_max) for _ in range(size))
+                 for _ in range(cfg.max_trials)]
+    for trial, coeffs in enumerate(draws, 1):
         outcome = dense_decision(system, coeffs)
-        if outcome == "non_pd":
-            non_pd += 1
-        elif outcome == "negative":
-            negative += 1
-        else:
+        if not isinstance(outcome, str):
             min_value, num, den = outcome
             return Certificate(system, coeffs, minimizer_num=num, minimizer_den=den,
                                min_value=min_value, trials=trial)
-    return Exhausted(system, cfg.max_trials, negative, non_pd)
+    return Exhausted(system, len(draws))
 
 
 def met_a_zero(j, coeffs):
@@ -917,17 +952,13 @@ def test_the_sweep_decides_the_v8_search_draws_that_met_a_zero():
         assert got == dense_decision(system, coeffs), (system.j, coeffs)
 
 
-def test_search_counters_match_a_dense_search():
+def test_search_matches_a_dense_search():
     """With a small budget, every 3rd V = 7 system (240) gives the same
-    Exhausted counters, or the same Certificate, as a dense search."""
+    Exhausted result, or the same Certificate, as a dense search."""
     results = Counter()
     for system in list(enumerate_systems(7))[::3]:
         cfg = SearchConfig(max_trials=6, base_seed=system.system_id)
         got = search_certificate(system, cfg)
         assert got == dense_search(system, cfg)
         results[type(got).__name__] += 1
-        if isinstance(got, Exhausted):
-            results["negative"] += got.negative_minima_seen
-            results["non_pd"] += got.non_pd_seen
-    assert sum(results[kind] for kind in ("Certificate", "Exhausted")) == 240
-    assert min(results.values()) > 0, results
+    assert sum(results.values()) == 240 and len(results) == 2, results

@@ -75,6 +75,10 @@ MUTANTS = (
     Mutant("prover.py", "isinstance(value, bool) or not isinstance(value, int)",
            "not isinstance(value, int)",
            (PROVER + "test_search_config_refuses_a_non_int",)),
+    Mutant("prover.py", "if box <= cfg.max_trials:", "if False:",
+           (PROVER + "test_a_small_box_is_searched_once_per_point[below]",)),
+    Mutant("prover.py", "box <= cfg.max_trials", "box < cfg.max_trials",
+           (PROVER + "test_a_small_box_is_searched_once_per_point[equal]",)),
     Mutant("prover.py", "negatives == 2", "negatives == 3",
            equivalent="past a second negative or zero pivot the final inertia test finds more "
                       "than one negative and returns non_pd"),
