@@ -21,7 +21,6 @@ from monoproof.equilibria import (
     vertex_shadow_matrix,
 )
 from monoproof.expansion import (
-    NonPositiveCoefficient,
     ShadowSystem,
     enumerate_systems,
 )
@@ -39,7 +38,6 @@ from monoproof.prover import (
 from monoproof.tables import (
     CertificateTable,
     ParseError,
-    RangeError,
     TableRow,
     bundled_table_path,
     parse_certificate_table,

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +29,7 @@ from monoproof.equilibria import (
     load_config,
     vertex_shadow_matrix,
 )
-from monoproof.expansion import enumerate_systems
+from monoproof.expansion import enumerate_systems, system_count
 from monoproof.prover import (
     SearchConfig,
     check_proof_vertices,
@@ -133,9 +133,10 @@ def cmd_prove(ns: argparse.Namespace) -> int:
         check_proof_vertices(ns.vertices)  # a refused V leaves no --out behind
         if ns.out:
             open(ns.out, "a").close()  # an unwritable --out fails before the search
+        started = time.perf_counter()
         report = prove_unsolvable(ns.vertices, cfg, jobs=ns.jobs)
+        manifest = _manifest(ns, wall_clock_seconds=time.perf_counter() - started)
         body = json.dumps(report.to_json(), indent=2) + "\n"
-        manifest = _manifest(ns, wall_clock_seconds=report.wall_clock_seconds)
         if ns.out:
             Path(ns.out).write_text(body)
             Path(ns.out + ".manifest.json").write_text(manifest + "\n")
@@ -186,16 +187,11 @@ def cmd_count(ns: argparse.Namespace) -> int:
 def cmd_systems(ns: argparse.Namespace) -> int:
     if ns.vertices < 3:
         return _fail_usage("--vertices must be at least 3")
-    # Refuse a count too long to print before computing it: past Python's
-    # int-to-str limit, or its default of 4,300 digits where there is none.
-    # (V-1)! has floor(log10 (V-1)!) + 1 digits, and lgamma(V) = ln (V-1)!.
-    # For V > limit (at least 640) it has more than V digits, as n! > 10^n
-    # for n >= 25, so lgamma, which overflows on a huge V, is not asked.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if ns.vertices > limit or math.lgamma(ns.vertices) / math.log(10) >= limit:
-        return _fail_usage(f"--vertices {ns.vertices}: the system count "
-                           f"{ns.vertices - 1}! has more than {limit} digits to print")
-    print(f"V = {ns.vertices}: {math.factorial(ns.vertices - 1)} shadowing systems, "
+    try:
+        count = system_count(ns.vertices)
+    except ValueError as exc:
+        return _fail_usage(f"--vertices {ns.vertices}: {exc}")
+    print(f"V = {ns.vertices}: {count} shadowing systems, "
           f"{ns.vertices - 2} free variables each")
     if ns.list:
         for system in enumerate_systems(ns.vertices):

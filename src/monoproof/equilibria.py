@@ -205,19 +205,16 @@ def is_hull_vertex(cfg: PointConfig, i: int) -> bool:
     return not nonneg_solution_exists([*zip(*others, rows[i]), (L,) * len(rows)])
 
 
-def load_config(source: Union[str, Path, dict]) -> Union[PointConfig, FaceConfig]:
-    """Read a vertex or face configuration from JSON.
+def load_config(path: Union[str, Path]) -> Union[PointConfig, FaceConfig]:
+    """Read a vertex or face configuration from a JSON file.
 
     Schema: { "d": 3, "kind": "vertices" | "faces", "coords": [["p/q", ...], ...] }.
     Coordinates may be "p/q" strings or integers; floats are rejected as inexact.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(Path(source).read_text())
-        except RecursionError:
-            raise ValueError("JSON is nested too deeply") from None
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("configuration document must be a JSON object")
     d = doc.get("d")

@@ -39,12 +39,10 @@ D, and scaled_vertices rebuilds D t_1, ..., D t_V from it without the forms.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-
-class NonPositiveCoefficient(ValueError):
-    """Weight coefficients must be strictly positive."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,19 @@ def enumerate_systems(V: int) -> Iterator[ShadowSystem]:
         yield ShadowSystem.from_choices(V, choices)
 
 
+def system_count(V: int) -> int:
+    """(V-1)!, the number of shadowing systems.  A count too long to print
+    raises ValueError before it is computed: past Python's int-to-str
+    limit, or its default of 4,300 digits where there is none.  (V-1)! has
+    floor(log10 (V-1)!) + 1 digits, and lgamma(V) = ln (V-1)!.  For V >
+    limit (at least 640) it has more than V digits, as n! > 10^n for
+    n >= 25, so lgamma, which overflows on a huge V, is not asked."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if V > limit or math.lgamma(V) / math.log(10) >= limit:
+        raise ValueError(f"the system count {V - 1}! has more than {limit} digits to print")
+    return math.factorial(V - 1)
+
+
 def _axis_matrix(system: ShadowSystem, weights: Sequence[int]) -> list[list[int]]:
     """G for the weights c_2..c_V (zeros allowed) as packed upper-triangle
     rows: row r holds the entries (r, r), (r, r+1), ..., (r, V-2).
@@ -134,9 +145,9 @@ def _check_coefficients(system: ShadowSystem, coeffs: Sequence[int]) -> None:
         raise ValueError(f"expected {system.V - 1} coefficients, got {len(coeffs)}")
     for c in coeffs:
         if isinstance(c, bool) or not isinstance(c, int):
-            raise NonPositiveCoefficient(f"coefficients must be positive integers, got {c!r}")
+            raise ValueError(f"coefficients must be positive integers, got {c!r}")
         if c <= 0:
-            raise NonPositiveCoefficient(f"coefficient {c} is not positive")
+            raise ValueError(f"coefficient {c} is not positive")
 
 
 def weighted_inequality_sum(system: ShadowSystem, coeffs: Sequence[int]) -> list[list[int]]:

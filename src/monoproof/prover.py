@@ -56,7 +56,6 @@ import itertools
 import math
 import os
 import random
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -333,16 +332,12 @@ def search_certificate(system: ShadowSystem, cfg: SearchConfig) -> SystemResult:
 @dataclass(frozen=True)
 class ProofReport:
     """Aggregate outcome of searching every shadowing system for one V
-    under one SearchConfig.
-
-    ``wall_clock_seconds`` is telemetry for the run manifest; it stays out of
-    to_json() so that the report body is byte-stable for a fixed config.
-    """
+    under one SearchConfig.  It holds no timing, so to_json() is
+    byte-stable for a fixed config; the prove manifest times the run."""
 
     V: int
     config: SearchConfig
     systems: tuple[SystemResult, ...]
-    wall_clock_seconds: float
 
     @property
     def all_certified(self) -> bool:
@@ -414,7 +409,6 @@ def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) 
     check_proof_vertices(V)
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    started = time.perf_counter()
     tasks = [
         (system, replace(cfg, base_seed=(cfg.base_seed + system.system_id) & _SEED_MASK))
         for system in enumerate_systems(V)
@@ -434,9 +428,4 @@ def prove_unsolvable(V: int, cfg: SearchConfig = SearchConfig(), jobs: int = 1) 
                     f"internal error: certificate for system {result.system.system_id} "
                     "failed exact re-verification"
                 )
-    return ProofReport(
-        V=V,
-        config=cfg,
-        systems=tuple(results),
-        wall_clock_seconds=time.perf_counter() - started,
-    )
+    return ProofReport(V=V, config=cfg, systems=tuple(results))

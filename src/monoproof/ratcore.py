@@ -69,14 +69,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(parse_integer(p), den)
 
 
-class SingularError(ValueError):
-    """Raised when elimination hits an exactly rank-deficient column."""
-
-    def __init__(self, pivot_index: int):
-        super().__init__(f"matrix is singular (no pivot in column {pivot_index})")
-        self.pivot_index = pivot_index
-
-
 def _ratio(e: Rational) -> tuple[int, int]:
     """e.as_integer_ratio() for an int (a bool included) or a Fraction, and
     TypeError for anything else: a float or a Decimal has an exact ratio
@@ -126,7 +118,8 @@ def _check_square(A: Sequence[Sequence[Rational]]) -> int:
 
 def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> tuple[Fraction, ...]:
     """Solve A x = b exactly for the square rows A of int or Fraction
-    entries; raises SingularError on exact rank deficiency.
+    entries; on exact rank deficiency, raises ValueError naming the first
+    column without a pivot.
 
     Column k pivots on the first row not yet pivoted whose entry is nonzero;
     when there is none, column k depends on columns 0..k-1.
@@ -140,7 +133,7 @@ def solve_linear(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> tupl
     for k in range(n):
         r = next((i for i in range(n) if i not in pivot_rows and rows[i][k] != 0), None)
         if r is None:
-            raise SingularError(k)
+            raise ValueError(f"matrix is singular (no pivot in column {k})")
         prev = _jordan_pivot(rows, r, k, prev)
         pivot_rows.append(r)
     return tuple(Fraction(rows[r][n], rows[r][k]) for k, r in enumerate(pivot_rows))

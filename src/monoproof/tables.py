@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
-from monoproof.expansion import ShadowSystem
+from monoproof.expansion import ShadowSystem, system_count
 from monoproof.ratcore import parse_integer, parse_rational
 
 PathLike = Union[str, Path]
@@ -38,19 +37,16 @@ class ParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class RangeError(ParseError):
-    """A j(i) entry outside 1..i-1."""
-
-
 class ChecksumMismatch(RuntimeError):
     """A bundled dataset differs from its recorded checksum."""
 
 
 def _row_count(V: int) -> str:
-    """(V-1)!, the number of rows of a table for V: in digits, or past
-    Python's int-to-str limit as the factorial itself, such as "1999!"."""
+    """(V-1)!, the number of rows of a table for V: in digits, or, when
+    expansion.system_count refuses to print it, as the factorial itself,
+    such as "1999!"."""
     try:
-        return str(math.factorial(V - 1))
+        return str(system_count(V))
     except ValueError:
         return f"{V - 1}!"
 
@@ -84,11 +80,13 @@ def _expected_header(V: int) -> list[str]:
     )
 
 
-def _row_error(record: list[str], V: int, line: int) -> Optional[ParseError]:
-    """The error for the first bad field of a row in column order (a
+def _row_error(record: list[str], V: int, line: int) -> ParseError:
+    """The error for the first bad field of a row in column order: a
     malformed, oversized or out-of-range j, a malformed, oversized or
-    nonpositive c, a malformed min_f), or None.  Integer fields are read by
-    ratcore.parse_integer."""
+    nonpositive c, or a malformed min_f.  Integer fields are read by
+    ratcore.parse_integer.  Called only on a row that the parser's fast
+    path refused, and every such row has one of these faults, so an error
+    is always returned."""
     for k, text in enumerate(record[:-1]):
         kind, i = ("j", k + 3) if k < V - 2 else ("c", k - V + 4)
         try:
@@ -96,7 +94,7 @@ def _row_error(record: list[str], V: int, line: int) -> Optional[ParseError]:
         except ValueError as exc:
             return ParseError(f"{kind}_{i} {exc}", line)
         if kind == "j" and not 1 <= value <= i - 1:
-            return RangeError(f"j_{i} = {value} out of range 1..{i - 1}", line)
+            return ParseError(f"j_{i} = {value} out of range 1..{i - 1}", line)
         if kind == "c" and value < 1:
             return ParseError(f"c_{i} = {value} must be positive", line)
     try:
@@ -118,11 +116,10 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
     """Read and validate a certificate table from a CSV file.
 
     The vertex count is inferred from the header width.  Rows must appear in
-    canonical order and cover every system exactly once; out-of-range j
-    entries raise RangeError, everything else malformed raises ParseError,
-    both with the 1-based line number.  Bytes that are not UTF-8 decode to
-    U+FFFD, which no field accepts, so they fail as a malformed field of
-    their line.
+    canonical order and cover every system exactly once; anything malformed
+    raises ParseError with the 1-based line number.  Bytes that are not
+    UTF-8 decode to U+FFFD, which no field accepts, so they fail as a
+    malformed field of their line.
 
     This is the only validator of a table: neither TableRow nor
     CertificateTable checks what it is given.  Each row is read in one pass:
@@ -130,7 +127,9 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
     fields are converted at once, ShadowSystem checks the j ranges and the
     parser the c signs.  Only a row that fails there is rescanned field by
     field (_row_error), so that the first bad field in column order is the
-    one reported.
+    one reported.  Row k must be system k, so the table is whole exactly
+    when its last row is the last system, j(i) = i - 1 for every i; (V-1)!
+    is computed only for the message of a table that is not.
     """
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = _records(csv.reader(fh))
@@ -154,17 +153,17 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
                 raise ParseError(f"expected {width} fields, got {len(record)}", line)
             fields = record[:-1]
             digits = "".join(fields)  # j and c are positive: ASCII digits only
-            try:
+            try:  # a ValueError here only sends the row to _row_error
                 if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError("integer field not in ASCII digits")
+                    raise ValueError
                 values = list(map(int, fields))
                 coeffs = tuple(values[V - 2 :])
                 if min(coeffs) < 1:
-                    raise ValueError("coefficients must be positive")
+                    raise ValueError
                 row = TableRow(ShadowSystem.from_choices(V, values[: V - 2]), coeffs,
                                parse_rational(record[-1]))
-            except ValueError as exc:
-                raise _row_error(record, V, line) or exc from None
+            except ValueError:
+                raise _row_error(record, V, line) from None
             if row.system.system_id != len(rows):
                 raise ParseError(
                     f"system {row.system.choices} out of canonical order "
@@ -172,7 +171,7 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
                     line,
                 )
             rows.append(row)
-    if len(rows) != math.factorial(V - 1):
+    if not rows or rows[-1].system.choices != tuple(range(2, V)):
         raise ParseError(f"expected {_row_count(V)} rows for V={V}, found {len(rows)}")
     return CertificateTable(V=V, rows=tuple(rows))
 

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,9 +133,11 @@ def test_verify_refuses_tampered_bundled_dataset(tmp_path, monkeypatch, capsys):
 
 def test_prove_v4_with_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
+    started = time.perf_counter()
     code, out, _ = run(
         capsys, "prove", "--vertices", "4", "--seed", "1", "--out", str(out_path)
     )
+    elapsed = time.perf_counter() - started
     assert code == 0
     assert "6/6 systems certified; verdict: unsolvable" in out
     report = json.loads(out_path.read_text())
@@ -147,7 +150,7 @@ def test_prove_v4_with_report_file(tmp_path, capsys):
     assert manifest["seed"] == 1
     assert manifest["arguments"] == {"vertices": 4, "coeff_min": 1, "coeff_max": 101,
                                      "max_trials": 100_000, "jobs": 1, "out": str(out_path)}
-    assert manifest["wall_clock_seconds"] > 0
+    assert 0 < manifest["wall_clock_seconds"] <= elapsed
 
 
 def test_prove_rejects_an_unwritable_out_before_searching(tmp_path, capsys, monkeypatch):

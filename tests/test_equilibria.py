@@ -490,22 +490,27 @@ def test_hull_vertex_witness_skips_the_simplex(monkeypatch):
     assert counts == [0, 1, 0, 1, 0, 1]
 
 
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_load_config_round_trip(tmp_path):
     doc = {
         "d": 3,
         "kind": "vertices",
         "coords": [["1/2", 1, 0], ["-3", "2/7", 1], [0, 0, "-1/3"], [5, -2, 3]],
     }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    cfg = load_config(path)
+    cfg = load_config(write_config(tmp_path, doc))
     assert isinstance(cfg, PointConfig)
     assert cfg.V == 4
     assert cfg.vertices[0][0] == Fraction(1, 2)
 
 
-def test_load_config_faces_kind():
-    cfg = load_config({"d": 3, "kind": "faces", "coords": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+def test_load_config_faces_kind(tmp_path):
+    doc = {"d": 3, "kind": "faces", "coords": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    cfg = load_config(write_config(tmp_path, doc))
     assert isinstance(cfg, FaceConfig)
     assert len(cfg.faces) == 3
 
@@ -521,9 +526,10 @@ def test_load_config_faces_kind():
         {"kind": "vertices", "coords": [[1, 0, 0], [1, 1, 1]]},
     ],
 )
-def test_load_config_rejects(doc):
+def test_load_config_rejects(tmp_path, doc):
+    path = write_config(tmp_path, doc)
     with pytest.raises(ValueError):
-        load_config(doc)
+        load_config(path)
 
 
 def test_configs_take_their_dimension_from_the_vectors():

@@ -7,7 +7,6 @@ import pytest
 from fraction_reference import form_value, unpacked
 
 from monoproof.expansion import (
-    NonPositiveCoefficient,
     ShadowSystem,
     _axis_matrix,
     enumerate_systems,
@@ -189,10 +188,14 @@ def test_weighted_matrix_is_the_definition_after_the_balance():
                 system, unit), (system.j, i)
 
 
-@pytest.mark.parametrize("coeffs", [(0, 1, 1), (1, -2, 1), (1, 1, True)])
-def test_weighted_sum_rejects_bad_coefficients(coeffs):
+@pytest.mark.parametrize("coeffs, message", [
+    pytest.param((0, 1, 1), "coefficient 0 is not positive", id="coeffs0"),
+    pytest.param((1, -2, 1), "coefficient -2 is not positive", id="coeffs1"),
+    pytest.param((1, 1, True), "coefficients must be positive integers, got True", id="coeffs2"),
+])
+def test_weighted_sum_rejects_bad_coefficients(coeffs, message):
     system = ShadowSystem(4, (1, 1, 1))
-    with pytest.raises(NonPositiveCoefficient):
+    with pytest.raises(ValueError, match=message):
         weighted_inequality_sum(system, coeffs)
 
 

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -519,15 +518,12 @@ def test_audit_checks_the_gradient_in_every_coordinate():
 
 
 def test_prove_unsolvable_v4():
-    started = time.perf_counter()
     report = prove_unsolvable(4, SearchConfig(base_seed=1))
-    elapsed = time.perf_counter() - started
     assert report.V == 4
     assert len(report.systems) == 6
     assert report.all_certified
     assert report.verdict == "unsolvable"
     assert report.certified_count == 6
-    assert 0 < report.wall_clock_seconds <= elapsed
 
 
 def test_check_proof_vertices_accepts_both_ends_of_its_range():

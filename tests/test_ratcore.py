@@ -17,7 +17,6 @@ from fraction_reference import (
 
 from monoproof import ratcore
 from monoproof.ratcore import (
-    SingularError,
     as_rational,
     clear_denominators,
     homogeneous_solution,
@@ -140,20 +139,18 @@ def test_solve_linear_random_systems():
         b = [Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(n)]
         try:
             x = solve_linear(A, b)
-        except SingularError:
+        except ValueError:
             continue
         assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
 
 
 def test_solve_linear_singular():
-    with pytest.raises(SingularError) as info:
+    with pytest.raises(ValueError, match=re.escape("matrix is singular (no pivot in column 1)")):
         solve_linear([[1, 2], [2, 4]], [1, 1])
-    assert info.value.pivot_index == 1
-    # column 1 is twice column 0, column 2 is independent: the index names
+    # column 1 is twice column 0, column 2 is independent: the message names
     # the first dependent column, not the last one
-    with pytest.raises(SingularError) as info:
+    with pytest.raises(ValueError, match=re.escape("matrix is singular (no pivot in column 1)")):
         solve_linear([[1, 2, 0], [2, 4, 1], [3, 6, 5]], [1, 2, 3])
-    assert info.value.pivot_index == 1
 
 
 def test_solve_needs_pivoting():

@@ -10,7 +10,6 @@ from monoproof.tables import (
     BUNDLED_VERTEX_COUNTS,
     ChecksumMismatch,
     ParseError,
-    RangeError,
     bundled_checksums,
     bundled_table_path,
     parse_certificate_table,
@@ -30,9 +29,19 @@ def write_table(tmp_path, lines, name="table.csv"):
     return path
 
 
+@pytest.fixture
+def factorial_calls(monkeypatch):
+    """The arguments of every math.factorial call the test makes."""
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+    return calls
+
+
 @pytest.mark.parametrize("V", BUNDLED_VERTEX_COUNTS)
-def test_bundled_tables_parse(V):
+def test_bundled_tables_parse(V, factorial_calls):
     table = parse_certificate_table(bundled_table_path(V))
+    assert factorial_calls == []  # a table is whole when its last row is the last system
     assert table.V == V
     assert len(table) == math.factorial(V - 1)
 
@@ -130,7 +139,7 @@ def test_j_out_of_range(tmp_path):
     parts[0] = "3"  # j_3 may only be 1 or 2
     lines[1] = ",".join(parts)
     path = write_table(tmp_path, lines)
-    with pytest.raises(RangeError, match="j_3 = 3") as info:
+    with pytest.raises(ParseError, match="j_3 = 3") as info:
         parse_certificate_table(path)
     assert info.value.line == 2
 
@@ -164,7 +173,7 @@ def test_first_bad_field_in_column_order_is_reported(tmp_path):
     # an out-of-range j_3 comes before a malformed c_2, as it did when every
     # field was checked in turn
     path = write_table(tmp_path, with_fields(bundled_lines(), 2, j_3="5", c_2="x"))
-    with pytest.raises(RangeError, match="j_3 = 5 out of range 1..2") as info:
+    with pytest.raises(ParseError, match="j_3 = 5 out of range 1..2") as info:
         parse_certificate_table(path)
     assert info.value.line == 2
 
@@ -199,14 +208,16 @@ def test_integer_field_past_the_digit_limit_fails_on_its_line(tmp_path, field):
     assert info.value.line == 4
 
 
-def test_row_count_too_long_to_print(tmp_path):
+def test_row_count_too_long_to_print(tmp_path, factorial_calls):
     """1999!, the row count for V = 2,000, has 5,700 digits, more than
-    Python's int-to-str limit prints; the error writes it as 1999!."""
+    Python's int-to-str limit prints; the error writes it as 1999!, decided
+    from the digit count without computing it."""
     V = 2000
     header = [f"j_{i}" for i in range(3, V + 1)] + [f"c_{i}" for i in range(2, V + 1)]
     path = write_table(tmp_path, [",".join([*header, "min_f"])])
     with pytest.raises(ParseError, match=re.escape("expected 1999! rows for V=2000, found 0")):
         parse_certificate_table(path)
+    assert 1999 not in factorial_calls
 
 
 # "0" and "00" are ASCII digits and fail the parser's own sign test; "-3"

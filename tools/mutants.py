@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
     equivalent: str = ""
 
 
+CLI = "tests/test_cli.py::"
 PROVER = "tests/test_prover.py::"
 EQUILIBRIA = "tests/test_equilibria.py::"
 RATCORE = "tests/test_ratcore.py::"
@@ -67,8 +68,6 @@ MUTANTS = (
            (PROVER + "test_check_proof_vertices_accepts_both_ends_of_its_range",)),
     Mutant("prover.py", "_SEED_MASK = (1 << 64) - 1", "_SEED_MASK = (1 << 65) - 1",
            (PROVER + "test_system_seeds_wrap_at_two_to_the_64",)),
-    Mutant("prover.py", "time.perf_counter() - started", "time.perf_counter() + started",
-           (PROVER + "test_prove_unsolvable_v4",)),
     Mutant("prover.py", "pool.map(_search_task, tasks,",
            "pool.map(search_certificate, *zip(*tasks),",
            (PROVER + "test_prove_through_the_real_pool_on_any_core_count",)),
@@ -107,6 +106,11 @@ MUTANTS = (
            (TABLES + "test_non_positive_coefficient",)),
     Mutant("tables.py", "row.system.system_id != len(rows)", "row.system.system_id > len(rows)",
            (TABLES + "test_duplicated_row_rejected",)),
+    Mutant("tables.py", "rows[-1].system.choices != tuple(range(2, V))",
+           "rows[-1].system.choices == tuple(range(2, V))",
+           (TABLES + "test_bundled_tables_parse[4]",)),
+    Mutant("cli.py", "time.perf_counter() - started", "time.perf_counter() + started",
+           (CLI + "test_prove_v4_with_report_file",)),
 )
 
 
