@@ -1,9 +1,13 @@
-"""Certificate tables: the bundled coefficient datasets and their CSV format.
+"""Certificate tables: the bundled coefficient datasets and their wire format.
 
 A table holds, for every shadowing system of a given vertex count in
 canonical order, the positive integer coefficients c_2..c_V and the exact
-minimum of the weighted inequality sum.  The wire format is CSV with header
-``j_3,...,j_V,c_2,...,c_V,min_f`` and minima written as "p/q".
+minimum of the weighted inequality sum.  The wire format is one record per
+line, LF or CRLF, the header ``j_3,...,j_V,c_2,...,c_V,min_f`` first: ASCII
+fields split on commas, with no quoting or escapes, and the minimum written
+as "p" or "p/q".  Bytes that are not UTF-8 decode to U+FFFD.  This is the
+comma-separated subset that serialize_certificate_table writes, not the csv
+dialect: a quoted field is refused like any other malformed one.
 
 Four such tables ship inside the package (appendix_v4.csv .. appendix_v7.csv,
 6 + 24 + 120 + 720 rows); their sha256 digests live in data/checksums.json so
@@ -12,7 +16,6 @@ a silently modified copy is refused rather than verified.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -103,23 +106,20 @@ def _row_error(record: list[str], V: int, line: int) -> ParseError:
         return ParseError(f"bad min_f: {exc}", line)
 
 
-def _records(reader):
-    """The csv reader's records; a csv error, such as a field over
-    csv.field_size_limit(), becomes a ParseError on the line it stopped at."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
-
-
 def parse_certificate_table(path: PathLike) -> CertificateTable:
-    """Read and validate a certificate table from a CSV file.
+    """Read and validate a certificate table from its wire-format file.
 
-    The vertex count is inferred from the header width.  Rows must appear in
-    canonical order and cover every system exactly once; anything malformed
-    raises ParseError with the 1-based line number.  Bytes that are not
-    UTF-8 decode to U+FFFD, which no field accepts, so they fail as a
-    malformed field of their line.
+    The grammar is the one serialize_certificate_table writes: one record
+    per line, LF or CRLF (the file is read with universal newlines), each
+    line split on commas once its newline is stripped, with no quoting.
+    A blank line is skipped.  j and c are ASCII digits and min_f is "p" or
+    "p/q".  Bytes that are not UTF-8 decode to U+FFFD, which no field
+    accepts, so they fail as a malformed field of their line.
+
+    The vertex count is inferred from the header width, and a misnamed
+    header names its first wrong column.  Rows must appear in canonical
+    order and cover every system exactly once; anything malformed raises
+    ParseError with the 1-based line number.
 
     This is the only validator of a table: neither TableRow nor
     CertificateTable checks what it is given.  Each row is read in one pass:
@@ -131,23 +131,23 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
     when its last row is the last system, j(i) = i - 1 for every i; (V-1)!
     is computed only for the message of a table that is not.
     """
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = _records(csv.reader(fh))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file", 1)
+        header = first.rstrip("\n").split(",") if first != "\n" else []  # blank: 0 columns
         width = len(header)
         if width < 6 or width % 2 != 0:
             raise ParseError(f"header has {width} columns, expected 2V-2", 1)
         V = (width + 2) // 2
-        if header != _expected_header(V):
-            raise ParseError(
-                f"bad header for V={V}: expected {','.join(_expected_header(V))}", 1
-            )
+        for k, (got, want) in enumerate(zip(header, _expected_header(V)), start=1):
+            if got != want:  # name the first wrong column, not the whole header
+                raise ParseError(f"bad header for V={V}: column {k} is {got!r}, "
+                                 f"expected {want!r}", 1)
         rows: list[TableRow] = []
-        for line, record in enumerate(reader, start=2):
-            if not record:
+        for line, text in enumerate(fh, start=2):
+            record = text.rstrip("\n").split(",")
+            if record == [""]:  # a blank line
                 continue
             if len(record) != width:
                 raise ParseError(f"expected {width} fields, got {len(record)}", line)
@@ -177,7 +177,7 @@ def parse_certificate_table(path: PathLike) -> CertificateTable:
 
 
 def serialize_certificate_table(table: CertificateTable) -> str:
-    """Render a table back to its CSV wire format (parse round-trips)."""
+    """Render a table back to its wire format (parse round-trips)."""
     lines = [",".join(_expected_header(table.V))]
     for row in table.rows:
         fields = (

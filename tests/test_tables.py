@@ -1,9 +1,9 @@
-import csv
 import math
 import re
 
 import pytest
 
+from monoproof.cli import main
 from monoproof.expansion import ShadowSystem
 from monoproof.prover import verify_certificate
 from monoproof.tables import (
@@ -100,11 +100,29 @@ def test_bytes_that_are_not_utf8_fail_on_their_line(tmp_path):
     assert info.value.line == 4
 
 
-def test_field_over_the_csv_size_limit_fails_on_its_line(tmp_path):
+def test_crlf_line_endings_parse_as_lf(tmp_path):
+    lines = bundled_lines(5)
+    lines.insert(3, "")  # a line that holds only CRLF is blank
+    path = tmp_path / "crlf.csv"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+    assert parse_certificate_table(path) == parse_certificate_table(bundled_table_path(5))
+
+
+def test_blank_first_line_is_a_header_of_no_columns(tmp_path):
+    path = write_table(tmp_path, [""] + bundled_lines())
+    with pytest.raises(ParseError, match="header has 0 columns") as info:
+        parse_certificate_table(path)
+    assert info.value.line == 1
+
+
+# a field of 131,073 digits, one past the csv module's default field limit:
+# the reader splits lines itself, so parse_integer's digit limit refuses it
+def test_oversized_field_fails_on_its_line(tmp_path):
     lines = bundled_lines()
-    lines[2] += "9" * (csv.field_size_limit() + 1)
+    lines[2] += "9" * 131_073  # onto line 3's min_f
     path = write_table(tmp_path, lines)
-    with pytest.raises(ParseError, match="field larger than field limit") as info:
+    message = r"bad min_f: has \d+ digits, past Python's int-to-str limit"
+    with pytest.raises(ParseError, match=message) as info:
         parse_certificate_table(path)
     assert info.value.line == 3
 
@@ -116,6 +134,21 @@ def test_header_name_mismatch(tmp_path):
     with pytest.raises(ParseError, match="bad header") as info:
         parse_certificate_table(path)
     assert info.value.line == 1
+    assert str(info.value).endswith("column 6 is 'minimum', expected 'min_f'")
+
+
+def test_misnamed_column_of_a_wide_header_exits_2_in_one_short_line(tmp_path, capsys):
+    """A V = 400,000 header is 6.98 MB; the error names only its first
+    wrong column instead of repeating the expected header."""
+    V = 400_000
+    header = [f"j_{i}" for i in range(3, V + 1)] + [f"c_{i}" for i in range(2, V + 1)]
+    header[0] = "j_x"
+    path = write_table(tmp_path, [",".join([*header, "min_f"])], name="wide.csv")
+    code = main(["verify", "--table", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "line 1: bad header for V=400000: column 1 is 'j_x', expected 'j_3'" in err
+    assert len(err.encode("utf-8")) < 200
 
 
 def test_header_odd_width(tmp_path):
@@ -197,6 +230,19 @@ def test_integer_fields_take_ascii_digits_only(tmp_path, field, bad):
         parse_certificate_table(path)
     assert type(info.value) is ParseError
     assert info.value.line == 4
+
+
+# the reader splits on commas and nothing else: a quote, a NUL byte or a
+# stray space stays in its field, which then fails as that column
+@pytest.mark.parametrize("line, field, bad", [(2, "j_4", '"1"'), (3, "c_3", '"101"'),
+                                              (4, "j_3", "1\x00"), (5, "c_2", "1\x008"),
+                                              (6, "j_4", "1 "), (7, "c_4", "35 ")])
+def test_fields_the_writer_never_produces_fail_on_their_line(tmp_path, line, field, bad):
+    path = write_table(tmp_path, with_fields(bundled_lines(), line, **{field: bad}))
+    message = re.escape(f"{field} must be an integer, got {bad!r}")
+    with pytest.raises(ParseError, match=message) as info:
+        parse_certificate_table(path)
+    assert info.value.line == line
 
 
 # int() raises past Python's int-to-str limit (4,300 digits by default)

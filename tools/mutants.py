@@ -109,6 +109,9 @@ MUTANTS = (
     Mutant("tables.py", "rows[-1].system.choices != tuple(range(2, V))",
            "rows[-1].system.choices == tuple(range(2, V))",
            (TABLES + "test_bundled_tables_parse[4]",)),
+    Mutant("tables.py", "got != want", "got == want", (TABLES + "test_bundled_tables_parse[4]",)),
+    Mutant("tables.py", 'record == [""]', "record == []",
+           (TABLES + "test_blank_lines_are_skipped",)),
     Mutant("cli.py", "time.perf_counter() - started", "time.perf_counter() + started",
            (CLI + "test_prove_v4_with_report_file",)),
 )
